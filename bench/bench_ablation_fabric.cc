@@ -38,15 +38,13 @@ main(int argc, char **argv)
 
     const std::vector<double> link_mbps = {160.0, 40.0, 10.0};
 
-    std::vector<RunPoint> base_pts;
-    for (const auto &key : appKeys())
-        base_pts.push_back(RunPoint{key, baseConfig(32, scale)});
-    std::vector<RunResult> bases = runPoints(base_pts, jobs);
+    const std::vector<std::string> &keys = appKeys();
+    std::vector<RunResult> bases = runBaselines(keys, 32, scale, jobs);
 
     std::vector<RunPoint> pts;
-    for (std::size_t i = 0; i < base_pts.size(); ++i) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
         for (double mbps : link_mbps) {
-            RunPoint p = base_pts[i];
+            RunPoint p{keys[i], baseConfig(32, scale)};
             p.config.knobs.fabricLinkMBps = mbps;
             p.config.knobs.fabricHosts = 4;
             p.config.validate = false;
@@ -56,9 +54,9 @@ main(int argc, char **argv)
     }
     std::vector<RunResult> rs = runPoints(pts, jobs);
 
-    for (std::size_t i = 0; i < base_pts.size(); ++i) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
         auto row = t.row();
-        row.cell(displayName(base_pts[i].app));
+        row.cell(displayName(keys[i]));
         for (std::size_t j = 0; j < link_mbps.size(); ++j) {
             const RunResult &r = rs[i * link_mbps.size() + j];
             if (r.ok)

@@ -18,6 +18,7 @@ using namespace nowcluster::bench;
 int
 main(int argc, char **argv)
 {
+    ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     traceOutIfRequested(argc, argv, "radix", 32, scale);
     std::printf("Ablation: application suite across Table-1 machines, "
@@ -38,14 +39,23 @@ main(int argc, char **argv)
             row.cell(m.name);
         row.cell("winner");
     }
+    // Every (app, machine) run is an independent point: one batch.
+    std::vector<RunPoint> pts;
+    for (const auto &key : appKeys()) {
+        for (const auto &m : machines) {
+            RunPoint p{key, baseConfig(32, scale)};
+            p.config.machine = m;
+            p.config.validate = false;
+            pts.push_back(std::move(p));
+        }
+    }
+    std::vector<RunResult> rs = runPoints(pts, jobsArg(argc, argv));
+
+    std::size_t next = 0;
     for (const auto &key : appKeys()) {
         std::vector<Tick> times;
-        for (const auto &m : machines) {
-            RunConfig c = baseConfig(32, scale);
-            c.machine = m;
-            c.validate = false;
-            times.push_back(runApp(key, c).runtime);
-        }
+        for (std::size_t i = 0; i < machines.size(); ++i)
+            times.push_back(rs[next++].runtime);
         Tick best = *std::min_element(times.begin(), times.end());
         auto row = t.row();
         row.cell(displayName(key));

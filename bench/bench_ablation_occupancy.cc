@@ -32,33 +32,37 @@ main(int argc, char **argv)
         "occ(us)", xs, series);
 
     // Head-to-head for one read-based and one write-based app: the
-    // same microseconds as occupancy, pure latency, or pure gap.
+    // same microseconds as occupancy, pure latency, or pure gap, in one
+    // batch over the sweep's baselines. The occupancy point is the
+    // sweep's 25 us point, so a result store serves it.
     std::printf("\n=== 25 us as occupancy vs latency vs gap ===\n");
+    Knobs occ, lat, gap;
+    occ.occupancyUs = 25;
+    lat.latencyUs = 30; // 5 baseline + 25 added.
+    gap.gapUs = 30.8;   // 5.8 baseline + 25 added.
+    std::vector<const Series *> rows;
+    std::vector<RunPoint> pts;
+    for (const std::string key : {"em3d-read", "em3d-write"}) {
+        rows.push_back(&*std::find_if(
+            series.begin(), series.end(),
+            [&](const Series &s) { return s.key == key; }));
+        for (const Knobs &k : {occ, lat, gap})
+            pts.push_back(knobPoint(key, 32, scale, rows.back()->base, k));
+    }
+    std::vector<RunResult> rs = runPoints(pts, jobs);
+
     Table t;
     t.row()
         .cell("Program")
         .cell("occupancy 25us")
         .cell("latency +25us")
         .cell("gap +25us");
-    for (const std::string key : {"em3d-read", "em3d-write"}) {
-        RunConfig base = baseConfig(32, scale);
-        RunResult b = runApp(key, base);
-        auto run_with = [&](Knobs k) {
-            RunConfig c = base;
-            c.knobs = k;
-            c.maxTime = budgetFor(b, k);
-            c.validate = false;
-            return slowdown(runApp(key, c).runtime, b.runtime);
-        };
-        Knobs occ, lat, gap;
-        occ.occupancyUs = 25;
-        lat.latencyUs = 30; // 5 baseline + 25 added.
-        gap.gapUs = 30.8;   // 5.8 baseline + 25 added.
-        t.row()
-            .cell(displayName(key))
-            .cell(run_with(occ), 2)
-            .cell(run_with(lat), 2)
-            .cell(run_with(gap), 2);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        auto row = t.row();
+        row.cell(rows[i]->name);
+        for (std::size_t j = 0; j < 3; ++j)
+            row.cell(slowdown(rs[i * 3 + j].runtime, rows[i]->base.runtime),
+                     2);
     }
     t.print();
     return 0;

@@ -3,7 +3,9 @@
  * Figure 4: communication balance. For every application on 32 nodes,
  * renders the (sender, receiver) message-count density matrix as ASCII
  * art and writes a grayscale PGM image per app (white = no messages,
- * black = the per-app maximum), matching the paper's plots.
+ * black = the per-app maximum), matching the paper's plots. The ten
+ * 32-node baselines are Table 3's points, so over a result store they
+ * are served without re-simulation.
  */
 
 #include <cstdio>
@@ -17,6 +19,7 @@ using namespace nowcluster::bench;
 int
 main(int argc, char **argv)
 {
+    ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     traceOutIfRequested(argc, argv, "radix", 32, scale);
     ::mkdir("fig4", 0755);
@@ -24,9 +27,11 @@ main(int argc, char **argv)
                 "(scale=%.2f)\n", scale);
     std::printf("PGM images are written to ./fig4/<app>.pgm\n");
 
-    for (const auto &key : appKeys()) {
-        RunResult r = runApp(key, baseConfig(32, scale));
-        std::string path = "fig4/" + key + ".pgm";
+    std::vector<RunResult> rs =
+        runBaselines(appKeys(), 32, scale, jobsArg(argc, argv));
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        const RunResult &r = rs[i];
+        std::string path = "fig4/" + appKeys()[i] + ".pgm";
         r.matrix.writePgm(path);
         std::printf("\n--- %s (max %llu msgs/cell) -> %s ---\n",
                     r.summary.app.c_str(),

@@ -6,6 +6,10 @@
  * run. For frequently communicating applications the model tracks the
  * measurement; applications with serial phases (Radix) run slower than
  * predicted (the paper's "serialization effect").
+ *
+ * The measured column is Figure 5b's 32-node sweep, point for point:
+ * over a result store (--cache-dir / NOW_CACHE_DIR) it is served from
+ * the entries bench_fig5_overhead wrote, with no re-simulation.
  */
 
 #include <cstdio>
@@ -18,6 +22,7 @@ using namespace nowcluster::bench;
 int
 main(int argc, char **argv)
 {
+    ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     traceOutIfRequested(argc, argv, "radix", 32, scale);
     std::printf("Table 5: predicted vs measured run times (ms) varying "
@@ -25,33 +30,30 @@ main(int argc, char **argv)
                 scale);
     std::printf("Model: r_pred = r_orig + 2 * m * delta_o\n");
 
-    for (const auto &key : appKeys()) {
-        RunConfig base = baseConfig(32, scale);
-        RunResult b = runApp(key, base);
-
+    auto set = [](Knobs &k, double x) { k.overheadUs = x; };
+    const std::vector<double> &os = overheadSweep();
+    for (const Series &s : sweepApps(appKeys(), 32, scale, os, set,
+                                     jobsArg(argc, argv))) {
+        const RunResult &b = s.base;
         std::printf("\n--- %s (m = %llu msgs) ---\n",
                     b.summary.app.c_str(),
                     static_cast<unsigned long long>(b.maxMsgsPerProc));
         Table t;
         t.row().cell("o(us)").cell("measured").cell("predicted").cell(
             "ratio");
-        for (double o : overheadSweep()) {
-            RunConfig c = base;
-            c.knobs.overheadUs = o;
-            c.maxTime = budgetFor(b, c.knobs);
-            c.validate = false;
-            RunResult r = runApp(key, c);
+        for (std::size_t j = 0; j < os.size(); ++j) {
             Tick pred = predictOverhead(b.runtime, b.maxMsgsPerProc,
-                                        usec(o) - usec(2.9));
+                                        usec(os[j]) - usec(2.9));
+            bool ok = s.slowdown[j] >= 0;
             auto row = t.row();
-            row.cell(o, 1);
-            if (r.ok)
-                row.cell(toMsec(r.runtime), 1);
+            row.cell(os[j], 1);
+            if (ok)
+                row.cell(toMsec(s.runtime[j]), 1);
             else
                 row.cell(std::string("N/A"));
             row.cell(toMsec(pred), 1);
-            if (r.ok)
-                row.cell(static_cast<double>(r.runtime) /
+            if (ok)
+                row.cell(static_cast<double>(s.runtime[j]) /
                              static_cast<double>(pred),
                          2);
             else

@@ -4,6 +4,10 @@
  * Section-5.2 *burst* model r_pred = r_base + m * delta_g (the paper
  * found application communication bursty, so the burst model fits far
  * better than the uniform-interval model, which is also printed).
+ *
+ * The measured column is Figure 6's sweep, point for point: over a
+ * result store (--cache-dir / NOW_CACHE_DIR) it is served from the
+ * entries bench_fig6_gap wrote, with no re-simulation.
  */
 
 #include <cstdio>
@@ -16,6 +20,7 @@ using namespace nowcluster::bench;
 int
 main(int argc, char **argv)
 {
+    ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     traceOutIfRequested(argc, argv, "radix", 32, scale);
     std::printf("Table 6: predicted vs measured run times (ms) varying "
@@ -24,11 +29,12 @@ main(int argc, char **argv)
     std::printf("Burst model: r = r_base + m * delta_g;  uniform "
                 "model: r = r_base + m * (g - I) for g > I\n");
 
-    for (const auto &key : appKeys()) {
-        RunConfig base = baseConfig(32, scale);
-        RunResult b = runApp(key, base);
+    auto set = [](Knobs &k, double x) { k.gapUs = x; };
+    const std::vector<double> &gs = gapSweep();
+    for (const Series &s : sweepApps(appKeys(), 32, scale, gs, set,
+                                     jobsArg(argc, argv))) {
+        const RunResult &b = s.base;
         Tick interval = usec(b.summary.msgIntervalUs);
-
         std::printf("\n--- %s (m = %llu msgs, I = %.1f us) ---\n",
                     b.summary.app.c_str(),
                     static_cast<unsigned long long>(b.maxMsgsPerProc),
@@ -39,20 +45,15 @@ main(int argc, char **argv)
             .cell("measured")
             .cell("burst pred")
             .cell("uniform pred");
-        for (double g : gapSweep()) {
-            RunConfig c = base;
-            c.knobs.gapUs = g;
-            c.maxTime = budgetFor(b, c.knobs);
-            c.validate = false;
-            RunResult r = runApp(key, c);
+        for (std::size_t j = 0; j < gs.size(); ++j) {
             Tick burst = predictGapBurst(b.runtime, b.maxMsgsPerProc,
-                                         usec(g) - usec(5.8));
+                                         usec(gs[j]) - usec(5.8));
             Tick uniform = predictGapUniform(
-                b.runtime, b.maxMsgsPerProc, usec(g), interval);
+                b.runtime, b.maxMsgsPerProc, usec(gs[j]), interval);
             auto row = t.row();
-            row.cell(g, 1);
-            if (r.ok)
-                row.cell(toMsec(r.runtime), 1);
+            row.cell(gs[j], 1);
+            if (s.slowdown[j] >= 0)
+                row.cell(toMsec(s.runtime[j]), 1);
             else
                 row.cell(std::string("N/A"));
             row.cell(toMsec(burst), 1).cell(toMsec(uniform), 1);

@@ -227,12 +227,42 @@ budgetFor(const RunResult &baseline, const Knobs &knobs)
     return worst * 3 + kSec;
 }
 
+/**
+ * Baseline run of every app in `keys` at `nprocs`, fanned out across
+ * `jobs` workers and served from the result store when one is attached.
+ * Built one way everywhere, so over one store Table 3's 32-node runs
+ * answer Table 4's, Fig. 4's and each 32-node sweep's baselines.
+ */
+inline std::vector<RunResult>
+runBaselines(const std::vector<std::string> &keys, int nprocs,
+             double scale, int jobs = 0)
+{
+    std::vector<RunPoint> pts;
+    pts.reserve(keys.size());
+    for (const auto &key : keys)
+        pts.push_back(RunPoint{key, baseConfig(nprocs, scale)});
+    return runPoints(pts, jobs);
+}
+
+/** The point a sweep runs for `key` under `knobs`, budgeted from its
+ *  baseline run `base`; unvalidated, since sweeps measure time. */
+inline RunPoint
+knobPoint(const std::string &key, int nprocs, double scale,
+          const RunResult &base, const Knobs &knobs)
+{
+    RunPoint p{key, baseConfig(nprocs, scale)};
+    p.config.knobs = knobs;
+    p.config.maxTime = budgetFor(base, knobs);
+    p.config.validate = false;
+    return p;
+}
+
 /** One application's slowdown series over a sweep. */
 struct Series
 {
     std::string key;
     std::string name;
-    Tick baseline = 0;
+    RunResult base; ///< The unperturbed run each point is relative to.
     std::vector<double> slowdown; ///< < 0 means N/A (timed out).
     std::vector<Tick> runtime;
 };
@@ -251,21 +281,15 @@ std::vector<Series>
 sweepApps(const std::vector<std::string> &keys, int nprocs, double scale,
           const std::vector<double> &xs, SetKnob &&set_knob, int jobs = 0)
 {
-    std::vector<RunPoint> base_pts;
-    base_pts.reserve(keys.size());
-    for (const auto &key : keys)
-        base_pts.push_back(RunPoint{key, baseConfig(nprocs, scale)});
-    std::vector<RunResult> bases = runPoints(base_pts, jobs);
+    std::vector<RunResult> bases = runBaselines(keys, nprocs, scale, jobs);
 
     std::vector<RunPoint> pts;
     pts.reserve(keys.size() * xs.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
         for (double x : xs) {
-            RunPoint p{keys[i], base_pts[i].config};
-            set_knob(p.config.knobs, x);
-            p.config.maxTime = budgetFor(bases[i], p.config.knobs);
-            p.config.validate = false; // Sweeps measure time.
-            pts.push_back(std::move(p));
+            Knobs k;
+            set_knob(k, x);
+            pts.push_back(knobPoint(keys[i], nprocs, scale, bases[i], k));
         }
     }
     std::vector<RunResult> rs = runPoints(pts, jobs);
@@ -276,29 +300,16 @@ sweepApps(const std::vector<std::string> &keys, int nprocs, double scale,
         Series s;
         s.key = keys[i];
         s.name = displayName(keys[i]);
-        s.baseline = bases[i].runtime;
+        s.base = std::move(bases[i]);
         for (std::size_t j = 0; j < xs.size(); ++j) {
             const RunResult &r = rs[i * xs.size() + j];
             s.runtime.push_back(r.runtime);
             s.slowdown.push_back(
-                r.ok ? slowdown(r.runtime, s.baseline) : -1.0);
+                r.ok ? slowdown(r.runtime, s.base.runtime) : -1.0);
         }
         series.push_back(std::move(s));
     }
     return series;
-}
-
-/**
- * Run `key` over a sweep of one knob (single-app convenience wrapper
- * around sweepApps; still fans the points out unless jobs == 1).
- */
-template <typename SetKnob>
-Series
-sweepApp(const std::string &key, int nprocs, double scale,
-         const std::vector<double> &xs, SetKnob &&set_knob, int jobs = 0)
-{
-    return sweepApps(std::vector<std::string>{key}, nprocs, scale, xs,
-                     std::forward<SetKnob>(set_knob), jobs)[0];
 }
 
 /** Print a figure-style table: rows = x values, one column per app. */
