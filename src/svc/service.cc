@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "svc/codec.hh"
 #include "svc/spec.hh"
 
 namespace nowcluster::svc {
@@ -35,20 +34,6 @@ stateName(int state)
     case 3: return "failed";
     }
     return "?";
-}
-
-/** True for a well-formed store key: 64 lowercase hex digits. */
-bool
-validKey(const std::string &key)
-{
-    if (key.size() != 64)
-        return false;
-    for (char c : key) {
-        bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex)
-            return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -112,67 +97,10 @@ pointOfRequest(const JsonValue &req)
         kn.simThreads = static_cast<int>(k->numberOr("sim-threads", -1));
         kn.simShards = static_cast<int>(k->numberOr("sim-shards", -1));
     }
-    // The result's provenance (0 = simulated, 1 = analytic). Round-
-    // tripped so a coordinator re-forwarding a dead worker's job
-    // names the same canonical spec the original result was keyed by.
+    // The result's provenance (0 = simulated, 1 = analytic), part of
+    // the canonical spec a stored result is keyed by.
     pt.config.origin = static_cast<int>(req.numberOr("origin", 0));
     return pt;
-}
-
-std::string
-submitRequest(const RunPoint &pt)
-{
-    const RunConfig &c = pt.config;
-    const Knobs &k = c.knobs;
-    const char *machine = "now";
-    if (c.machine.name == "Intel Paragon")
-        machine = "paragon";
-    else if (c.machine.name == "Meiko CS-2")
-        machine = "meiko";
-    // max_ms is exact for integer-millisecond budgets (the only kind
-    // the tools emit): integer ms * 1e6 ticks round-trips through a
-    // double without loss below 2^53.
-    JsonWriter w;
-    w.beginObject()
-        .field("op", "submit")
-        .field("app", pt.app)
-        .field("procs", c.nprocs)
-        .field("scale", c.scale)
-        .field("seed", c.seed)
-        .field("validate", c.validate)
-        .field("max_ms", toMsec(c.maxTime))
-        .field("machine", machine)
-        .field("origin", c.origin);
-    w.beginObject("knobs")
-        .field("overhead", k.overheadUs)
-        .field("gap", k.gapUs)
-        .field("latency", k.latencyUs)
-        .field("mbps", k.bulkMBps)
-        .field("occupancy", k.occupancyUs)
-        .field("window", k.window)
-        .field("fabric-hosts", k.fabricHosts)
-        .field("fabric-mbps", k.fabricLinkMBps)
-        .field("drop", k.dropRate)
-        .field("dup", k.dupRate)
-        .field("corrupt", k.corruptRate)
-        .field("reorder", k.reorderRate)
-        .field("reorder-delay", k.reorderMaxDelayUs)
-        .field("fault-seed", static_cast<std::int64_t>(k.faultSeed))
-        .field("reliable", k.reliable)
-        .field("rto", k.retxTimeoutUs)
-        .field("delay-node", static_cast<std::int64_t>(k.delayNode))
-        .field("delay-at", k.delayAtUs)
-        .field("delay-us", k.delayUs)
-        .field("topo", k.topo)
-        .field("topo-hosts", k.topoHosts)
-        .field("topo-mbps", k.topoLinkMBps)
-        .field("topo-oversub", k.topoOversub)
-        .field("topo-hop", k.topoHopUs)
-        .field("sim-threads", k.simThreads)
-        .field("sim-shards", k.simShards)
-        .endObject();
-    w.endObject();
-    return w.str();
 }
 
 std::string
@@ -231,8 +159,6 @@ ServiceCore::ServiceCore(const ServiceConfig &config)
       cacheMisses_(metrics_.counter("svc.cache.misses")),
       jobsDone_(metrics_.counter("svc.jobs.done")),
       jobsFailed_(metrics_.counter("svc.jobs.failed")),
-      pulls_(metrics_.counter("svc.repl.pulls")),
-      puts_(metrics_.counter("svc.repl.puts")),
       analyticServed_(metrics_.counter("svc.backend.analytic_served")),
       backendFallbacks_(metrics_.counter("svc.backend.fallbacks")),
       queueWaitUs_(metrics_.histogram("svc.queue_wait", latencyBounds())),
@@ -278,12 +204,6 @@ ServiceCore::handleLine(const std::string &line)
         return handleGet(req);
     if (op == "stats")
         return handleStats();
-    if (op == "ping")
-        return handlePing();
-    if (op == "pull")
-        return handlePull(req);
-    if (op == "put")
-        return handlePut(req);
     if (op == "shutdown")
         return handleShutdown();
     std::lock_guard<std::mutex> lock(mu_);
@@ -464,80 +384,6 @@ ServiceCore::handleGet(const JsonValue &req)
     }
     return resultReply(id, stateName(static_cast<int>(job.state)),
                        job.cached, job.point, job.result);
-}
-
-std::string
-ServiceCore::handlePing()
-{
-    JsonWriter w;
-    w.beginObject()
-        .field("ok", true)
-        .field("role", "worker")
-        .field("draining", shuttingDown())
-        .endObject();
-    return w.str();
-}
-
-std::string
-ServiceCore::handlePull(const JsonValue &req)
-{
-    std::string key = req.stringOr("key", "");
-    if (!validKey(key)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-key");
-    }
-    if (!store_)
-        return errorReply("no-store");
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++pulls_;
-    }
-    std::string payload;
-    if (!store_->get(key, payload))
-        return errorReply("not-found");
-    JsonWriter w;
-    w.beginObject()
-        .field("ok", true)
-        .field("key", key)
-        .field("payload", hexEncode(payload))
-        .endObject();
-    return w.str();
-}
-
-std::string
-ServiceCore::handlePut(const JsonValue &req)
-{
-    std::string key = req.stringOr("key", "");
-    if (!validKey(key)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-key");
-    }
-    if (!store_)
-        return errorReply("no-store");
-    std::string payload;
-    if (!hexDecode(req.stringOr("payload", ""), payload)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-payload");
-    }
-    // A replica must decode as a RunResult before it is stored: a
-    // corrupt payload is refused at the door, never served later.
-    RunResult check;
-    if (!decodeResult(payload, check)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-payload");
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++puts_;
-    }
-    store_->put(key, payload);
-    JsonWriter w;
-    w.beginObject().field("ok", true).field("key", key).endObject();
-    return w.str();
 }
 
 std::string

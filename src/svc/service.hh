@@ -25,17 +25,6 @@
  *            canonical fingerprint (byte-identical cached vs computed).
  *   stats    {"op":"stats"} -> request counters, latency histograms
  *            (MetricsRegistry snapshot), queue/pool and store state.
- *   ping     {"op":"ping"} -> {"ok":true,"role":"worker",
- *            "draining":B}. The fleet coordinator's liveness probe:
- *            answered from memory, no locks on the job table, no disk.
- *   pull     {"op":"pull","key":K} -> {"ok":true,"key":K,
- *            "payload":<hex>}: the raw store entry under K, for
- *            coordinator-driven replication. Errors: "no-store",
- *            "not-found", "bad-key".
- *   put      {"op":"put","key":K,"payload":<hex>} -> {"ok":true}.
- *            Replicates an entry into this worker's store. The payload
- *            must decode as a RunResult (a corrupt replica is refused,
- *            never stored); errors mirror pull's plus "bad-payload".
  *   shutdown {"op":"shutdown"} -> begins graceful drain.
  *
  * Job states: queued -> running -> done | failed. Jobs live forever
@@ -64,31 +53,6 @@
 
 namespace nowcluster::svc {
 
-/**
- * The brain behind a line-protocol transport. NowlabServer pumps
- * request lines into one of these; ServiceCore (a worker nowlabd) and
- * CoordinatorCore (the fleet front end) both implement it, so the
- * epoll engine, its hostile-client containment, and its graceful-drain
- * contract are written once and shared.
- */
-class LineHandler
-{
-  public:
-    virtual ~LineHandler() = default;
-
-    /** Handle one request line; always returns a JSON reply (no
-     *  trailing newline), never throws, never fatal()s. */
-    virtual std::string handleLine(const std::string &line) = 0;
-
-    /** Stop accepting new work (drain begins). */
-    virtual void beginShutdown() = 0;
-
-    /** Block until every accepted job has completed. */
-    virtual void drain() = 0;
-
-    virtual bool shuttingDown() const = 0;
-};
-
 struct ServiceConfig
 {
     int jobs = 0;               ///< Worker pool size (0 = auto).
@@ -114,55 +78,42 @@ constexpr std::size_t kMaxRequestBytes = 1 << 16;
  *  shared by ServiceCore and the transport's own rejections. */
 std::string errorReply(const std::string &error);
 
-/**
- * The RunPoint a submit request describes (missing fields take the
- * same defaults `nowlab run` applies). Shared by ServiceCore and the
- * coordinator, which must agree byte-for-byte on the canonical spec a
- * request names -- that agreement is what makes failover recomputation
- * correct by construction.
- */
+/** The RunPoint a submit request describes (missing fields take the
+ *  same defaults `nowlab run` applies). */
 RunPoint pointOfRequest(const JsonValue &req);
 
-/**
- * The canonical submit line for a RunPoint: the exact inverse of
- * pointOfRequest, i.e. pointOfRequest(parse(submitRequest(pt))) has
- * the same cacheKey as pt (tested in test_fleet.cc). The coordinator
- * uses it to forward and, after a worker death, re-forward work.
- */
-std::string submitRequest(const RunPoint &pt);
-
-/** The {"ok":true,"id":...,"state":...,"cached":...} reply shared by
- *  status handling on the worker and the coordinator. */
+/** The {"ok":true,"id":...,"state":...,"cached":...} reply to submit
+ *  and status. */
 std::string statusReply(std::uint64_t id, const char *state,
                         bool cached);
 
 /** The full measured-result reply `get` returns, rendered from a
- *  decoded RunResult -- one formatter, so a coordinator serving a
- *  replica read answers byte-identically to the worker it replaced. */
+ *  decoded RunResult, so a store hit answers byte-identically to the
+ *  run that filled it. */
 std::string resultReply(std::uint64_t id, const char *state,
                         bool cached, const RunPoint &pt,
                         const RunResult &r);
 
-class ServiceCore : public LineHandler
+class ServiceCore
 {
   public:
     explicit ServiceCore(const ServiceConfig &config);
-    ~ServiceCore() override;
+    ~ServiceCore();
 
     ServiceCore(const ServiceCore &) = delete;
     ServiceCore &operator=(const ServiceCore &) = delete;
 
     /** Handle one request line; always returns a JSON reply (no
      *  trailing newline), never throws, never fatal()s. */
-    std::string handleLine(const std::string &line) override;
+    std::string handleLine(const std::string &line);
 
     /** Stop accepting submits (drain begins; queued jobs still run). */
-    void beginShutdown() override;
+    void beginShutdown();
 
     /** Block until every accepted job has completed. */
-    void drain() override;
+    void drain();
 
-    bool shuttingDown() const override;
+    bool shuttingDown() const;
 
     /** Point-in-time copy of the request counters and histograms. */
     MetricsSnapshot metricsSnapshot() const;
@@ -196,9 +147,6 @@ class ServiceCore : public LineHandler
     std::string handleStatus(const JsonValue &req);
     std::string handleGet(const JsonValue &req);
     std::string handleStats();
-    std::string handlePing();
-    std::string handlePull(const JsonValue &req);
-    std::string handlePut(const JsonValue &req);
     std::string handleShutdown();
     void runJob(std::uint64_t id);
 
@@ -227,8 +175,6 @@ class ServiceCore : public LineHandler
     std::uint64_t &cacheMisses_;
     std::uint64_t &jobsDone_;
     std::uint64_t &jobsFailed_;
-    std::uint64_t &pulls_;
-    std::uint64_t &puts_;
     std::uint64_t &analyticServed_;
     std::uint64_t &backendFallbacks_;
     /** Analytic-backend refusal reason -> count (guarded by mu_).

@@ -13,6 +13,8 @@ namespace {
  * Bump whenever simulator semantics change in a way that can alter
  * measured results (event ordering, model stages, parameter defaults).
  * Stale keys then simply never hit and age out of the store via LRU.
+ * tests/golden/code_fingerprint.txt pins this string to the results of
+ * a fixed spec set; test_svc fails when those move without a bump.
  */
 constexpr const char *kCodeFingerprint = "nowcluster-sim-v5";
 

@@ -15,7 +15,8 @@
  * any change that can alter what an experiment *measures* (event
  * ordering, new model stages, changed defaults) must bump it, which
  * orphans every cached result instead of serving stale ones. Orphans
- * are reclaimed by the store's LRU sweep.
+ * are reclaimed by the store's LRU sweep. A forgotten bump is caught by
+ * the golden fingerprints in tests/golden/code_fingerprint.txt.
  */
 
 #ifndef NOWCLUSTER_SVC_SPEC_HH_

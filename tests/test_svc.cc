@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the experiment service: canonical spec hashing, the result
- * codec, the on-disk content-addressed store (corruption, LRU,
- * crash-recovery), the cached parallel runner, and nowlabd itself
+ * Tests for the experiment service: canonical spec hashing and the
+ * code-fingerprint guard, the result codec, the on-disk
+ * content-addressed store (corruption, LRU, crash-recovery), the cached
+ * parallel runner, the client backoff policy, and nowlabd itself
  * (ServiceCore protocol + the TCP server end-to-end on an ephemeral
  * port). The load-bearing property throughout: a cache hit is
  * byte-identical to recomputation.
@@ -15,6 +16,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,8 +32,10 @@
 
 #include <cstring>
 
+#include "apps/app.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
+#include "svc/backoff.hh"
 #include "svc/codec.hh"
 #include "svc/hash.hh"
 #include "svc/json.hh"
@@ -187,6 +192,88 @@ TEST(Spec, ValidateSpecAnswersInsteadOfKilling)
     pt = smallPoint();
     pt.config.knobs.dropRate = 2.0;
     EXPECT_NE(svc::validateSpec(pt), "");
+}
+
+// ---- code fingerprint guard ------------------------------------------
+
+/** The specs whose results pin kCodeFingerprint: every app at 4 procs
+ *  and a tiny scale, plus one lossy, one delayed and one fat-tree run,
+ *  so the fault, delay and topology models are pinned too. */
+std::vector<std::pair<std::string, RunPoint>>
+fingerprintSpecs()
+{
+    std::vector<std::pair<std::string, RunPoint>> specs;
+    auto tiny = [](const std::string &app) {
+        RunPoint pt;
+        pt.app = app;
+        pt.config.nprocs = 4;
+        pt.config.scale = 0.05;
+        return pt;
+    };
+    for (const std::string &app : appKeys())
+        specs.emplace_back(app, tiny(app));
+    RunPoint pt = tiny("radix");
+    pt.config.knobs.dropRate = 0.01;
+    pt.config.knobs.reliable = 1;
+    specs.emplace_back("radix drop=0.01 reliable=1", pt);
+    pt = tiny("em3d-read");
+    pt.config.knobs.delayNode = 1;
+    pt.config.knobs.delayAtUs = 100;
+    pt.config.knobs.delayUs = 500;
+    specs.emplace_back("em3d-read delay-node=1 delay-at=100 delay-us=500",
+                       pt);
+    pt = tiny("radix");
+    pt.config.knobs.topo = 1;
+    pt.config.knobs.topoHosts = 2;
+    pt.config.knobs.topoOversub = 2;
+    specs.emplace_back("radix topo=1 topo-hosts=2 topo-oversub=2", pt);
+    return specs;
+}
+
+/** tests/golden/code_fingerprint.txt as the current code renders it:
+ *  codeFingerprint(), then each spec's label and result fingerprint. */
+std::string
+renderFingerprintGolden()
+{
+    std::vector<std::pair<std::string, RunPoint>> specs =
+        fingerprintSpecs();
+    std::vector<RunPoint> points;
+    for (const auto &spec : specs)
+        points.push_back(spec.second);
+    std::vector<RunResult> results = runPoints(points);
+    std::string out = svc::codeFingerprint() + "\n";
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        out += "== " + specs[i].first + "\n" + fingerprint(results[i]);
+    return out;
+}
+
+// Cache soundness must not rest on someone remembering to bump
+// kCodeFingerprint: a change to what these runs measure fails here
+// until the string is bumped and the golden regenerated.
+TEST(Spec, CodeFingerprintCoversSimulatedBehaviour)
+{
+    const std::string path =
+        std::string(NOW_TEST_GOLDEN_DIR) + "/code_fingerprint.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot read " << path;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    const std::string want = golden.str();
+    const std::string got = renderFingerprintGolden();
+    if (got == want)
+        return;
+    if (want.substr(0, want.find('\n')) == svc::codeFingerprint()) {
+        ADD_FAILURE() << "simulation behaviour changed: bump "
+                         "kCodeFingerprint and regenerate "
+                         "tests/golden/code_fingerprint.txt (with the "
+                         "new string as its first line). New contents:\n"
+                      << got;
+    } else {
+        ADD_FAILURE() << "kCodeFingerprint changed: regenerate "
+                         "tests/golden/code_fingerprint.txt. New "
+                         "contents:\n"
+                      << got;
+    }
 }
 
 // ---- result codec ----------------------------------------------------
@@ -456,6 +543,50 @@ TEST(Runner, BoundedQueueRejectsWhenFull)
     EXPECT_FALSE(pool.trySubmit([&] { ++ran; }));
 }
 
+// ---- client backoff ---------------------------------------------------
+
+TEST(Backoff, DoublesWithEqualJitterUpToCap)
+{
+    svc::Backoff b(100, 800, 7);
+    int window = 100;
+    for (int step = 0; step < 12; ++step) {
+        int d = b.nextMs();
+        EXPECT_GE(d, window / 2) << step;
+        EXPECT_LE(d, window) << step;
+        window = std::min(800, window * 2);
+    }
+    // Settled at the cap: every further delay is in [cap/2, cap].
+    for (int step = 0; step < 8; ++step) {
+        int d = b.nextMs();
+        EXPECT_GE(d, 400);
+        EXPECT_LE(d, 800);
+    }
+}
+
+TEST(Backoff, ResetReturnsToBase)
+{
+    svc::Backoff b(100, 10'000, 3);
+    for (int i = 0; i < 6; ++i)
+        b.nextMs();
+    b.reset();
+    int d = b.nextMs();
+    EXPECT_GE(d, 50);
+    EXPECT_LE(d, 100);
+}
+
+TEST(Backoff, DeterministicPerSeed)
+{
+    svc::Backoff a(50, 5000, 42), b(50, 5000, 42), c(50, 5000, 43);
+    std::vector<int> sa, sb, sc;
+    for (int i = 0; i < 10; ++i) {
+        sa.push_back(a.nextMs());
+        sb.push_back(b.nextMs());
+        sc.push_back(c.nextMs());
+    }
+    EXPECT_EQ(sa, sb);
+    EXPECT_NE(sa, sc); // Distinct seeds decorrelate retriers.
+}
+
 // ---- ServiceCore protocol -------------------------------------------
 
 svc::JsonValue
@@ -515,12 +646,21 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
              "\"knobs\":{\"overhead\":0.1}}",
              "{\"op\":\"nonsense\"}",
              "not json at all",
+             // Retired replication ops get the ordinary unknown-op error.
+             "{\"op\":\"ping\"}",
+             "{\"op\":\"pull\",\"key\":"
+             "\"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
+             "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\"}",
+             "{\"op\":\"put\",\"key\":"
+             "\"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
+             "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\","
+             "\"payload\":\"00\"}",
          }) {
         svc::JsonValue v = parsed(core.handleLine(line));
         EXPECT_FALSE(v.boolOr("ok", true)) << line;
     }
     svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
-    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 6);
+    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 9);
 }
 
 TEST(ServiceCore, FullQueueAnswersBusyWithRetryHint)
@@ -1222,6 +1362,42 @@ TEST(Store, CrashAtEveryWriteStepLeavesOldOrNewNeverGarbage)
             ::closedir(d);
         }
     }
+}
+
+TEST(Store, ReapsStrayTmpFilesAndCountsThem)
+{
+    auto plantResidue = [](const std::string &dir) {
+        for (const char *name : {".tmp-123-0", ".tmp-999-7"}) {
+            std::FILE *f =
+                std::fopen((dir + "/" + name).c_str(), "w");
+            ASSERT_NE(f, nullptr);
+            std::fputs("crash residue", f);
+            std::fclose(f);
+        }
+    };
+
+    TempDir dir;
+    plantResidue(dir.path);
+    {
+        svc::ResultStore store(dir.path);
+        EXPECT_EQ(store.stats().tmpReaped, 2u);
+        EXPECT_EQ(store.entryCount(), 0u);
+    }
+
+    // The reap is surfaced as a service metric too.
+    TempDir dir2;
+    plantResidue(dir2.path);
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    cfg.cacheDir = dir2.path;
+    svc::ServiceCore core(cfg);
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    const svc::JsonValue *store = v.find("store");
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->numberOr("tmp_reaped", -1), 2);
+    const svc::JsonValue *counters = v.find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->numberOr("store_tmp_reaped", -1), 2);
 }
 
 } // namespace
