@@ -101,12 +101,15 @@ BENCHMARK(BM_FiberCreateDestroyPooled);
 void
 BM_FiberSwitch(benchmark::State &state)
 {
-    Fiber f([] {
-        for (;;)
+    bool stop = false;
+    Fiber f([&stop] {
+        while (!stop)
             Fiber::yield();
     });
     for (auto _ : state)
         f.resume();
+    stop = true;
+    f.resume(); // Let the body return.
     state.SetItemsProcessed(state.iterations() * 2); // In + out.
 }
 BENCHMARK(BM_FiberSwitch);
@@ -115,13 +118,16 @@ void
 BM_ProcComputeEvent(benchmark::State &state)
 {
     Simulator sim;
-    Proc p(sim, 0, [](Proc &self) {
-        for (;;)
+    bool stop = false;
+    Proc p(sim, 0, [&stop](Proc &self) {
+        while (!stop)
             self.compute(100);
     });
     p.start(0);
     for (auto _ : state)
         sim.step();
+    stop = true;
+    sim.run(); // Let the body return.
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProcComputeEvent);

@@ -12,10 +12,11 @@
 #       covers the svc tests (the epoll engine, the store's atomic
 #       writes, the connection-churn fuzzer) in both regimes.
 #
-# Note: the fiber scheduler (src/sim/fiber.cc) swaps ucontext stacks;
-# ASan is told about each switch via the start/finish_switch_fiber
-# annotations and TSan via __tsan_switch_to_fiber. LeakSanitizer is
-# disabled because it cannot walk stacks parked mid-swapcontext.
+# Note: the fiber scheduler (src/sim/fiber.cc) switches stacks with
+# its own assembly routine, which no sanitizer intercepts; ASan is told
+# about each switch via the start/finish_switch_fiber annotations and
+# TSan via __tsan_switch_to_fiber. LeakSanitizer is disabled because it
+# cannot walk the stacks of suspended fibers.
 set -eu
 cd "$(dirname "$0")/.."
 

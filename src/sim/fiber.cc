@@ -1,6 +1,13 @@
 #include "sim/fiber.hh"
 
+#include <cstring>
+#include <utility>
+
 #include "base/logging.hh"
+
+#if !defined(__x86_64__) || !defined(__ELF__)
+#error "the fiber switch in sim/fiber.cc is x86-64 System V (ELF) assembly"
+#endif
 
 // AddressSanitizer must be told about every stack switch; without the
 // start/finish annotations it attributes fiber frames to the scheduler
@@ -14,7 +21,7 @@
 #endif
 #endif
 
-// ThreadSanitizer likewise models each ucontext as a fiber; the
+// ThreadSanitizer likewise keeps one shadow stack per fiber; the
 // create/switch/destroy annotations keep it from reporting false races
 // between frames that alternate on the same OS thread
 // (NOWCLUSTER_SANITIZE=thread; scripts/check_sanitize.sh thread).
@@ -34,6 +41,50 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+/**
+ * Save the running context's registers on its stack, store its stack
+ * pointer in *save_sp, then load the context whose stack pointer is
+ * load_sp and return into it. The saved frame, from the stack pointer
+ * up: x87 control word (8-byte slot), MXCSR (8-byte slot), r15, r14,
+ * r13, r12, rbx, rbp, return address. These are the System V
+ * callee-saved registers plus the two floating-point control registers;
+ * everything else is caller-saved, so the compiler has already spilled
+ * it around this call. Shadow stacks (CET) are not supported: the
+ * return lands on a different stack than the call came from.
+ */
+extern "C" void nowcluster_fiber_switch(void **save_sp, void *load_sp);
+
+asm(R"(
+    .text
+    .globl  nowcluster_fiber_switch
+    .hidden nowcluster_fiber_switch
+    .type   nowcluster_fiber_switch, @function
+    .p2align 4
+nowcluster_fiber_switch:
+    pushq   %rbp
+    pushq   %rbx
+    pushq   %r12
+    pushq   %r13
+    pushq   %r14
+    pushq   %r15
+    subq    $16, %rsp
+    stmxcsr 8(%rsp)
+    fnstcw  (%rsp)
+    movq    %rsp, (%rdi)
+    movq    %rsi, %rsp
+    fldcw   (%rsp)
+    ldmxcsr 8(%rsp)
+    addq    $16, %rsp
+    popq    %r15
+    popq    %r14
+    popq    %r13
+    popq    %r12
+    popq    %rbx
+    popq    %rbp
+    ret
+    .size   nowcluster_fiber_switch, .-nowcluster_fiber_switch
+)");
+
 namespace nowcluster {
 
 namespace {
@@ -42,10 +93,6 @@ namespace {
 // entirely on one thread; thread_local keeps the parallel experiment
 // runner (and tests that spawn threads) safe.
 thread_local Fiber *current_fiber = nullptr;
-
-// Handoff slot for the trampoline: makecontext() can only pass ints
-// portably, so the Fiber* is passed through this thread-local instead.
-thread_local Fiber *starting_fiber = nullptr;
 
 } // namespace
 
@@ -119,13 +166,20 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_size)
 {
     panic_if(stack_size < 16 * 1024, "fiber stack too small: %zu",
              stack_size);
-    if (getcontext(&context_) != 0)
-        panic("getcontext failed");
-    context_.uc_stack.ss_sp = stack_;
-    context_.uc_stack.ss_size = stack_size;
-    context_.uc_link = &returnContext_;
-    makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
-                0);
+    // The first switch in pops this frame (see nowcluster_fiber_switch)
+    // and "returns" into trampoline() with the stack pointer 8 bytes
+    // below a 16-byte boundary, as after a call. The zero above the
+    // trampoline's address is its return address: it never returns,
+    // and a zero ends every stack walk there. The floating-point
+    // control state is inherited from the constructing context.
+    auto top = reinterpret_cast<std::uintptr_t>(stack_ + stack_size) &
+               ~std::uintptr_t{15};
+    auto *frame = reinterpret_cast<std::uintptr_t *>(top) - 10;
+    std::memset(frame, 0, 10 * sizeof *frame);
+    frame[8] = reinterpret_cast<std::uintptr_t>(&Fiber::trampoline);
+    asm("fnstcw %0" : "=m"(frame[0]));
+    asm("stmxcsr %0" : "=m"(frame[1]));
+    sp_ = frame;
 #ifdef NOWCLUSTER_TSAN_FIBERS
     tsanFiber_ = __tsan_create_fiber(0);
 #endif
@@ -147,19 +201,24 @@ Fiber::~Fiber()
 void
 Fiber::trampoline()
 {
-    Fiber *self = starting_fiber;
-    starting_fiber = nullptr;
+    // resume() set current_fiber before switching in.
+    Fiber *self = current_fiber;
 #ifdef NOWCLUSTER_ASAN_FIBERS
     // Complete the switch begun in resume(), learning where the
     // scheduler's stack lives so yield() can announce switches back.
     __sanitizer_finish_switch_fiber(nullptr, &self->asanReturnStack_,
                                     &self->asanReturnSize_);
 #endif
-    self->body_();
+    // Nothing may unwind past this frame: its return address is zero.
+    try {
+        self->body_();
+    } catch (...) {
+        self->error_ = std::current_exception();
+    }
     self->finished_ = true;
     current_fiber = nullptr;
 #ifdef NOWCLUSTER_ASAN_FIBERS
-    // This stack is dead after the uc_link switch: fake_stack_save of
+    // This stack is dead after the switch below: fake_stack_save of
     // nullptr tells ASan to release its shadow.
     __sanitizer_start_switch_fiber(nullptr, self->asanReturnStack_,
                                    self->asanReturnSize_);
@@ -167,13 +226,8 @@ Fiber::trampoline()
 #ifdef NOWCLUSTER_TSAN_FIBERS
     __tsan_switch_to_fiber(self->tsanReturn_, 0);
 #endif
-    // Exit with an explicit swapcontext rather than returning into the
-    // uc_link setcontext: libtsan intercepts swapcontext but not the
-    // uc_link path, and a __tsan_switch_to_fiber left unpaired with an
-    // intercepted switch corrupts TSan's shadow stack (observed as
-    // delayed SEGVs inside the runtime under GCC 12). uc_link stays
-    // set as a backstop; this swap never returns.
-    swapcontext(&self->context_, &self->returnContext_);
+    nowcluster_fiber_switch(&self->sp_, self->returnSp_);
+    __builtin_unreachable();
 }
 
 void
@@ -183,10 +237,7 @@ Fiber::resume()
              "Fiber::resume called from inside a fiber");
     panic_if(finished_, "resuming a finished fiber");
     current_fiber = this;
-    if (!started_) {
-        started_ = true;
-        starting_fiber = this;
-    }
+    started_ = true;
 #ifdef NOWCLUSTER_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&asanMainFake_, stack_, stackSize_);
 #endif
@@ -194,13 +245,14 @@ Fiber::resume()
     tsanReturn_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(tsanFiber_, 0);
 #endif
-    if (swapcontext(&returnContext_, &context_) != 0)
-        panic("swapcontext into fiber failed");
+    nowcluster_fiber_switch(&returnSp_, sp_);
 #ifdef NOWCLUSTER_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(asanMainFake_, nullptr, nullptr);
 #endif
     // We only get back here after the fiber yields or finishes.
     current_fiber = nullptr;
+    if (error_)
+        std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void
@@ -217,8 +269,7 @@ Fiber::yield()
 #ifdef NOWCLUSTER_TSAN_FIBERS
     __tsan_switch_to_fiber(self->tsanReturn_, 0);
 #endif
-    if (swapcontext(&self->context_, &self->returnContext_) != 0)
-        panic("swapcontext out of fiber failed");
+    nowcluster_fiber_switch(&self->sp_, self->returnSp_);
 #ifdef NOWCLUSTER_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(self->asanFiberFake_,
                                     &self->asanReturnStack_,

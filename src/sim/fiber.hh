@@ -3,10 +3,18 @@
  * Stackful coroutines (fibers) used to run one SPMD program instance per
  * simulated processor.
  *
- * Built on ucontext so that application code can block in the middle of
- * arbitrarily nested calls (reads, locks, barriers) exactly like a real
- * Split-C program would, while the event-driven kernel advances virtual
- * time underneath.
+ * Each fiber has its own stack so that application code can block in
+ * the middle of arbitrarily nested calls (reads, locks, barriers) exactly
+ * like a real Split-C program would, while the event-driven kernel
+ * advances virtual time underneath.
+ *
+ * A switch is a plain function call into a short x86-64 System V
+ * routine (fiber.cc) that saves the callee-saved registers, MXCSR and
+ * the x87 control word on the current stack and restores them from the
+ * other. It makes no system call: the signal mask belongs to the
+ * thread, not to each fiber, so a switch leaves it alone. An exception
+ * escaping a fiber body is caught on the fiber's stack and rethrown by
+ * resume() on the scheduler's.
  *
  * Stacks come from a thread-local pool (FiberStackPool): a sweep creates
  * and destroys one fiber per node per simulation point, and recycling
@@ -19,10 +27,9 @@
 #ifndef NOWCLUSTER_SIM_FIBER_HH_
 #define NOWCLUSTER_SIM_FIBER_HH_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <vector>
 
@@ -96,7 +103,8 @@ class Fiber
     Fiber &operator=(const Fiber &) = delete;
 
     /**
-     * Run the fiber until it yields or finishes.
+     * Run the fiber until it yields or finishes. If the body exits with
+     * an exception, the fiber is finished and resume() rethrows it.
      * Must be called from scheduler context (not from inside a fiber).
      */
     void resume();
@@ -110,7 +118,7 @@ class Fiber
     /** The fiber currently executing, or nullptr in scheduler context. */
     static Fiber *current();
 
-    /** True once body has returned. */
+    /** True once body has returned or thrown. */
     bool finished() const { return finished_; }
 
   private:
@@ -119,22 +127,23 @@ class Fiber
     std::function<void()> body_;
     char *stack_; ///< Owned; returned to FiberStackPool::local().
     std::size_t stackSize_;
-    ucontext_t context_;
-    ucontext_t returnContext_;
+    void *sp_;                 ///< Fiber's saved stack pointer.
+    void *returnSp_ = nullptr; ///< Scheduler's, while the fiber runs.
+    std::exception_ptr error_; ///< Escaped the body; resume() rethrows.
     bool started_ = false;
     bool finished_ = false;
     /**
      * AddressSanitizer fiber-switch bookkeeping (unused otherwise):
      * ASan tracks a shadow stack per thread and must be told about every
-     * swapcontext, or it reports wild stack-use-after-return errors.
+     * stack switch, or it reports wild stack-use-after-return errors.
      */
     void *asanMainFake_ = nullptr;
     void *asanFiberFake_ = nullptr;
     const void *asanReturnStack_ = nullptr;
     std::size_t asanReturnSize_ = 0;
     /**
-     * ThreadSanitizer equivalent: TSan models each ucontext as a
-     * "fiber" and must be told about every switch, or it reports
+     * ThreadSanitizer equivalent: TSan models each Fiber as one of its
+     * "fibers" and must be told about every switch, or it reports
      * false races between frames that merely share the OS thread.
      */
     void *tsanFiber_ = nullptr;

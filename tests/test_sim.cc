@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -166,6 +170,108 @@ TEST(Fiber, NestedCallsSurviveYield)
     EXPECT_EQ(depth_seen, 0);
     f.resume();
     EXPECT_EQ(depth_seen, 5);
+}
+
+TEST(Fiber, ExceptionLeavesThroughResume)
+{
+    // A throwing body finishes its fiber; resume() rethrows on the
+    // scheduler's stack instead of terminating the process.
+    Fiber f([] {
+        Fiber::yield();
+        throw std::runtime_error("from the fiber");
+    });
+    f.resume();
+    try {
+        f.resume();
+        FAIL() << "resume() did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "from the fiber");
+    }
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(Fiber::current(), nullptr);
+
+    // The thread still switches normally afterwards.
+    bool ran = false;
+    Fiber g([&] { ran = true; });
+    g.resume();
+    EXPECT_TRUE(ran);
+}
+
+TEST(Fiber, StackStaysAlignedAcrossSwitches)
+{
+    // A volatile read hides the address from the optimizer, which
+    // would otherwise fold the modulo to zero from the alignas.
+    auto misalignment = [](const void *p) {
+        const void *volatile hidden = p;
+        return reinterpret_cast<std::uintptr_t>(hidden) % 16;
+    };
+    std::uintptr_t at_entry = 1, after_yield = 1;
+    Fiber f([&] {
+        alignas(16) char a[16] = {};
+        at_entry = misalignment(a);
+        Fiber::yield();
+        alignas(16) char b[16] = {};
+        after_yield = misalignment(b);
+    });
+    f.resume();
+    f.resume();
+    EXPECT_EQ(at_entry, 0u);
+    EXPECT_EQ(after_yield, 0u);
+}
+
+TEST(Fiber, RoundingModeIsPerFiber)
+{
+    // fegetround() reads the x87 control word; the division runs on
+    // SSE and so reads MXCSR. A switch carries both.
+    volatile double one = 1.0, three = 3.0;
+    const double nearest = one / three;
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    int mode_after_yield = -1;
+    double third_after_yield = 0;
+    Fiber f([&] {
+        std::fesetround(FE_UPWARD);
+        Fiber::yield();
+        mode_after_yield = std::fegetround();
+        third_after_yield = one / three;
+    });
+    f.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(one / three, nearest);
+    f.resume();
+    EXPECT_EQ(mode_after_yield, FE_UPWARD);
+    EXPECT_GT(third_after_yield, nearest);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    std::fesetround(FE_TONEAREST); // In case a leak failed the test.
+}
+
+TEST(Fiber, TryCatchSpansAYield)
+{
+    std::string caught;
+    Fiber f([&] {
+        try {
+            Fiber::yield();
+            throw std::runtime_error("after the yield");
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+    });
+    f.resume();
+    EXPECT_EQ(caught, "");
+    f.resume();
+    EXPECT_EQ(caught, "after the yield");
+    EXPECT_TRUE(f.finished());
+}
+
+TEST(Proc, ThrowingBodyFailsTheRun)
+{
+    Simulator sim;
+    Proc p(sim, 0, [](Proc &self) {
+        self.compute(10);
+        throw std::runtime_error("bad node");
+    });
+    p.start(0);
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(sim.now(), 10);
 }
 
 TEST(Proc, ComputeAdvancesVirtualTime)

@@ -1108,10 +1108,11 @@ cmdStorm(const Args &a)
  *
  * Measures (1) raw event-loop throughput through the new pooled
  * explicit-heap queue vs the frozen legacy std::function queue
- * (bench/legacy_event_queue.hh), (2) pooled fiber stand-up cost, and
- * (3) wall-clock for a canonical knob sweep run serially vs fanned out
- * with the parallel runner -- verifying on the way that both produce
- * byte-identical per-point results.
+ * (bench/legacy_event_queue.hh), (2) pooled fiber stand-up cost and the
+ * resume+yield round trip, and (3) wall-clock for a canonical knob
+ * sweep run serially vs fanned out with the parallel runner --
+ * verifying on the way that both produce byte-identical per-point
+ * results.
  */
 int
 cmdPerf(const Args &a)
@@ -1183,6 +1184,23 @@ cmdPerf(const Args &a)
                 "(%llu hits / %llu misses)\n",
                 fiber_us, static_cast<unsigned long long>(pool.hits()),
                 static_cast<unsigned long long>(pool.misses()));
+    // One round trip is resume() into the fiber plus its yield() back:
+    // the two switches Proc::compute() costs per simulated event.
+    const long kSwitches = 1'000'000;
+    double switch_ns = 0;
+    {
+        long left = kSwitches;
+        Fiber f([&left] {
+            while (--left > 0)
+                Fiber::yield();
+        });
+        auto t0 = Clock::now();
+        while (!f.finished())
+            f.resume();
+        switch_ns = seconds_since(t0) / kSwitches * 1e9;
+    }
+    std::printf("fiber      : %.1f ns per resume+yield round trip\n",
+                switch_ns);
 
     // --- (3) canonical sweep, serial vs parallel ----------------------
     RunConfig base = configOf(a);
@@ -1303,6 +1321,7 @@ cmdPerf(const Args &a)
             "  },\n"
             "  \"fiber\": {\n"
             "    \"create_run_destroy_us\": %.3f,\n"
+            "    \"switch_round_trip_ns\": %.1f,\n"
             "    \"stack_pool_hits\": %llu,\n"
             "    \"stack_pool_misses\": %llu\n"
             "  },\n"
@@ -1328,7 +1347,7 @@ cmdPerf(const Args &a)
             "  }\n"
             "}\n",
             hardwareJobs(), jobs, events, new_eps, legacy_eps,
-            new_eps / legacy_eps, fiber_us,
+            new_eps / legacy_eps, fiber_us, switch_ns,
             static_cast<unsigned long long>(pool.hits()),
             static_cast<unsigned long long>(pool.misses()), app.c_str(),
             npoints, base.nprocs, base.scale, serial_s, jobs, parallel_s,
