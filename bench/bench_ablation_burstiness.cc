@@ -8,9 +8,14 @@
  * than the baseline gap (a direct burstiness measure), alongside the
  * mean message interval from Table 4. High burst fractions are why
  * the burst gap model beats the uniform model in Table 6.
+ *
+ * Each point carries its own span tracer, so the ten runs fan out over
+ * the Runner like every other bench; the message trace is derived from
+ * each tracer afterwards.
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "stats/trace.hh"
@@ -37,11 +42,18 @@ main(int argc, char **argv)
         .cell("burst<5g (29us)")
         .cell("mean flight (us)");
 
-    for (const auto &key : appKeys()) {
-        MessageTrace trace;
-        RunConfig c = baseConfig(32, scale);
-        c.trace = &trace;
-        RunResult r = runApp(key, c);
+    const std::vector<std::string> keys = appKeys();
+    std::vector<SpanTracer> tracers(keys.size());
+    std::vector<RunPoint> pts;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        pts.push_back(RunPoint{keys[i], baseConfig(32, scale)});
+        pts.back().config.obs = &tracers[i];
+    }
+    const std::vector<RunResult> rs = runPoints(pts, jobsArg(argc, argv));
+
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const RunResult &r = rs[i];
+        const MessageTrace trace = messageTraceFromObs(tracers[i]);
         t.row()
             .cell(r.summary.app)
             .cell(r.summary.msgIntervalUs, 1)

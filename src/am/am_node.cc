@@ -123,13 +123,6 @@ AmNode::sendPacket(Packet &&pkt, bool pay_overhead)
         cluster_.scheduleCreditAck(id_, pkt.dst, physical);
     }
 
-    if (cluster_.traceHook()) {
-        cluster_.traceHook()(
-            now(), pkt.readyAt, id_, pkt.dst, pkt.kind,
-            static_cast<std::uint32_t>(pkt.isBulk() ? pkt.bulk.size()
-                                                    : 0));
-    }
-
     if (obs_) {
         ObsMessage m;
         m.id = pkt.obsMsg;

@@ -523,15 +523,6 @@ Cluster::setTracer(SpanTracer *tracer)
 }
 
 void
-Cluster::setTraceHook(TraceHook hook)
-{
-    panic_if(hook && nshards_ > 1,
-             "the per-packet trace hook records in global send order "
-             "and requires the single-heap engine (sim-threads 0)");
-    trace_ = std::move(hook);
-}
-
-void
 Cluster::mergeShardTracers()
 {
     if (!tracer_ || shardTracers_.empty())

@@ -224,15 +224,6 @@ class Cluster
     /** Fault tallies merged across the shard models, in shard order. */
     FaultCounters faultCounters() const;
 
-    /** Per-packet trace callback: (issued, ready, src, dst, kind,
-     *  payload bytes). Kept as a plain hook so the AM layer does not
-     *  depend on the stats library. */
-    using TraceHook = std::function<void(Tick, Tick, NodeId, NodeId,
-                                         PacketKind, std::uint32_t)>;
-
-    void setTraceHook(TraceHook hook);
-    const TraceHook &traceHook() const { return trace_; }
-
   private:
     void noteProcDone(NodeId id);
 
@@ -305,7 +296,6 @@ class Cluster
     std::atomic<bool> draining_{false};
     bool timedOut_ = false;
     bool started_ = false;
-    TraceHook trace_;
     std::unique_ptr<SwitchFabric> fabric_;
     std::unique_ptr<FatTreeTopology> topo_;
     std::string stallReport_;

@@ -73,7 +73,6 @@ basePointOf(const RunPoint &pt)
     base.config.knobs.latencyUs = -1;
     base.config.knobs.bulkMBps = -1;
     base.config.validate = false;
-    base.config.trace = nullptr;
     base.config.obs = nullptr;
     return base;
 }
@@ -194,7 +193,7 @@ AnalyticBackend::canServe(const RunPoint &pt)
 {
     const RunConfig &c = pt.config;
     const Knobs &k = c.knobs;
-    if (c.trace || c.obs)
+    if (c.obs)
         return "trace sinks need a real simulation";
     if (k.dropRate >= 0 || k.dupRate >= 0 || k.corruptRate >= 0 ||
         k.reorderRate >= 0 || c.machine.params.fault.enabled)

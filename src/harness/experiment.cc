@@ -94,22 +94,10 @@ runApp(const std::string &app_key, const RunConfig &config)
     if (config.knobs.collAlg.empty() && !envConfig().collAlg.empty())
         params.collAlg = envConfig().collAlg;
 
-    fatal_if(config.trace && params.simThreads > 0,
-             "message tracing records in global send order and needs "
-             "--sim-threads 0 (span tracing via --obs works sharded)");
-
     SplitCRuntime rt(config.nprocs, params, config.seed);
     app->prepare(rt);
     if (config.obs)
         rt.cluster().setTracer(config.obs);
-    if (config.trace) {
-        rt.cluster().setTraceHook(
-            [trace = config.trace](Tick issued, Tick ready, NodeId src,
-                                   NodeId dst, PacketKind kind,
-                                   std::uint32_t bytes) {
-                trace->record(issued, ready, src, dst, kind, bytes);
-            });
-    }
 
     RunResult r;
     r.ok = rt.run([&](SplitC &sc) { app->run(sc); }, config.maxTime);

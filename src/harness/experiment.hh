@@ -15,7 +15,6 @@
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "stats/comm_stats.hh"
-#include "stats/trace.hh"
 
 namespace nowcluster {
 
@@ -100,10 +99,9 @@ struct RunConfig
      * simulated results never alias in the content-addressed store.
      */
     int origin = 0;
-    /** Optional message trace sink (not owned). */
-    MessageTrace *trace = nullptr;
     /** Optional span tracer (not owned): records per-track timelines
-     *  for the Perfetto exporter and the critical-path analyzer. */
+     *  for the Perfetto exporter, the critical-path analyzer and the
+     *  message trace (messageTraceFromObs). */
     SpanTracer *obs = nullptr;
 };
 

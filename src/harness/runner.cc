@@ -165,11 +165,11 @@ runCache()
 RunResult
 runPointCached(const RunPoint &pt)
 {
-    // A point with a sink attached has side effects (the recorded
-    // trace) that a cached result cannot replay: always simulate.
+    // A point with a span tracer attached has a side effect (the
+    // recorded trace) that a cached result cannot replay: always
+    // simulate.
     RunCache *cache = g_runCache;
-    bool cacheable =
-        cache && !pt.config.trace && !pt.config.obs;
+    bool cacheable = cache && !pt.config.obs;
 
     RunResult r;
     if (cacheable && cache->lookup(pt, r))

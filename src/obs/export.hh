@@ -2,7 +2,7 @@
  * @file
  * Trace exporters: Chrome/Perfetto trace_event JSON for the `chrome://
  * tracing` / ui.perfetto.dev timeline view, and a compact binary format
- * that round-trips losslessly (the form `nowlab replay --obs` loads).
+ * that round-trips losslessly (`nowlab trace --bin` writes it).
  *
  * Perfetto mapping: pid = node id (named "node N"), tid = track kind
  * (named "cpu" / "nic-tx" / "nic-rx"), complete events ("ph":"X") with

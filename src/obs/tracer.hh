@@ -12,10 +12,11 @@
  * (all record paths are inlined here and guarded by a null check; see
  * bench_engine_micro's BM_AmRoundTrip / BM_AmRoundTripTraced A/B).
  *
- * The recorded data feeds three consumers (src/obs/export.hh and
- * src/obs/critpath.hh): the Chrome/Perfetto trace_event exporter, the
- * compact binary format `nowlab replay --obs` can load, and the LogGP
- * critical-path analyzer.
+ * The recorded data feeds the Chrome/Perfetto trace_event exporter and
+ * the compact binary format (src/obs/export.hh), the LogGP
+ * critical-path analyzer (src/obs/critpath.hh), the analytic backend's
+ * LP lowering (src/backend/model.hh), and the message trace behind the
+ * burstiness metric and `nowlab run --trace` (src/stats/trace.hh).
  */
 
 #ifndef NOWCLUSTER_OBS_TRACER_HH_

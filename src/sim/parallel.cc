@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <barrier>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -22,27 +23,43 @@ ParallelEngine::run(const Callbacks &cb)
     // Written only by barrier A's completion step, which the barrier
     // orders before any thread resumes; no atomics needed.
     Tick windowEnd = 0;
+    // An exception from merge/exec (a node program that throws) is
+    // held per shard, each slot written only by its owner thread.
+    // Every thread keeps arriving at both barriers; the next plan step
+    // sees the error and stops the engine, and run() rethrows the
+    // lowest shard's after the join, so the choice does not depend on
+    // thread timing.
+    std::vector<std::exception_ptr> errors(nshards_);
 
-    std::barrier planBar(T, [&]() noexcept { windowEnd = cb.plan(); });
+    std::barrier planBar(T, [&]() noexcept {
+        const bool failed =
+            std::any_of(errors.begin(), errors.end(),
+                        [](const auto &e) { return e != nullptr; });
+        windowEnd = failed ? kTickNever : cb.plan();
+    });
     std::barrier execBar(T);
 
+    auto guarded = [&](int s, auto &&fn) {
+        try {
+            fn();
+        } catch (...) {
+            if (!errors[s])
+                errors[s] = std::current_exception();
+        }
+    };
     auto worker = [&](int t) {
         for (;;) {
             for (int s = t; s < nshards_; s += T)
-                cb.merge(s);
+                guarded(s, [&] { cb.merge(s); });
             planBar.arrive_and_wait();
             if (windowEnd == kTickNever)
                 break;
             for (int s = t; s < nshards_; s += T)
-                cb.exec(s, windowEnd);
+                guarded(s, [&] { cb.exec(s, windowEnd); });
             execBar.arrive_and_wait();
         }
     };
 
-    if (T == 1) {
-        worker(0);
-        return;
-    }
     std::vector<std::thread> threads;
     threads.reserve(T - 1);
     for (int t = 1; t < T; ++t)
@@ -50,6 +67,11 @@ ParallelEngine::run(const Callbacks &cb)
     worker(0);
     for (auto &th : threads)
         th.join();
+
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
 }
 
 } // namespace nowcluster

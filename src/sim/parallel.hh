@@ -58,7 +58,13 @@ class ParallelEngine
     /** nthreads is clamped to [1, nshards]. */
     ParallelEngine(int nshards, int nthreads);
 
-    /** Run rounds until plan() returns kTickNever. Blocks. */
+    /**
+     * Run rounds until plan() returns kTickNever. Blocks. A merge or
+     * exec callback that throws stops the engine at the next plan
+     * step; once every
+     * worker has joined, run() rethrows that exception on the calling
+     * thread (the lowest shard's, if several threw).
+     */
     void run(const Callbacks &cb);
 
     int nshards() const { return nshards_; }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <unordered_map>
+
+#include "obs/tracer.hh"
 
 namespace nowcluster {
 
@@ -72,64 +74,33 @@ MessageTrace::writeCsv(const std::string &path) const
     return true;
 }
 
-bool
-MessageTrace::readCsv(const std::string &path)
+MessageTrace
+messageTraceFromObs(const SpanTracer &tracer)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return false;
-    char line[256];
-    // Header.
-    if (!std::fgets(line, sizeof(line), f) ||
-        std::strncmp(line, "issued_us,ready_us,src,dst,kind,bytes",
-                     37) != 0) {
-        std::fclose(f);
-        return false;
+    // End of each message's tx-queue stall: the host hands the
+    // descriptor over only once the NIC has room for it.
+    std::unordered_map<std::uint64_t, Tick> stall_end;
+    for (const Span &s : tracer.spans()) {
+        if (s.msg == 0 || s.track != TrackKind::Cpu ||
+            s.cat != SpanCat::GapStall)
+            continue;
+        Tick &end = stall_end[s.msg];
+        end = std::max(end, s.end);
     }
-    // Parse into a staging vector: a malformed row (wrong field count,
-    // unknown packet kind, negative node id) rejects the whole file and
-    // leaves the trace untouched, instead of silently skipping rows and
-    // feeding a truncated trace to replay.
-    std::vector<TraceRecord> staged;
-    bool ok = true;
-    while (std::fgets(line, sizeof(line), f)) {
-        if (line[0] == '\n' || line[0] == '\0')
-            continue; // A trailing blank line is not corruption.
-        double issued_us, ready_us;
-        int src, dst;
-        char kind[16] = {};
-        unsigned bytes = 0;
-        if (std::sscanf(line, "%lf,%lf,%d,%d,%15[^,],%u", &issued_us,
-                        &ready_us, &src, &dst, kind, &bytes) != 6) {
-            ok = false;
-            break;
-        }
-        if (src < 0 || dst < 0) {
-            ok = false;
-            break;
-        }
-        PacketKind k;
-        std::string ks = kind;
-        if (ks == "request")
-            k = PacketKind::Request;
-        else if (ks == "reply")
-            k = PacketKind::Reply;
-        else if (ks == "oneway")
-            k = PacketKind::OneWay;
-        else if (ks == "bulk")
-            k = PacketKind::BulkFrag;
-        else {
-            ok = false; // Out-of-range / unknown kind.
-            break;
-        }
-        staged.push_back({usec(issued_us), usec(ready_us), src, dst, k,
-                          bytes});
+
+    std::vector<TraceRecord> records;
+    records.reserve(tracer.messages().size());
+    for (const ObsMessage &m : tracer.messages()) {
+        if (m.retx)
+            continue;
+        Tick issued = m.issued;
+        if (auto it = stall_end.find(m.id); it != stall_end.end())
+            issued = std::max(issued, it->second);
+        const auto kind = static_cast<PacketKind>(m.kind);
+        records.push_back({issued, m.ready, m.src, m.dst, kind,
+                           kind == PacketKind::BulkFrag ? m.bytes : 0});
     }
-    std::fclose(f);
-    if (!ok)
-        return false;
-    records_.insert(records_.end(), staged.begin(), staged.end());
-    return true;
+    return MessageTrace(std::move(records));
 }
 
 } // namespace nowcluster

@@ -1,9 +1,9 @@
 /**
  * @file
- * Optional per-message tracing: when attached to a cluster, every
- * packet leaving a NIC is recorded with its issue and arrival times.
- * Useful for debugging applications and for offline analysis of
- * burstiness (the property behind the paper's gap models).
+ * Per-message traces for burstiness analysis (the property behind the
+ * paper's gap models) and CSV export. A MessageTrace is derived from a
+ * span tracer's message records after the run (messageTraceFromObs),
+ * so it works on every engine, sharded included.
  */
 
 #ifndef NOWCLUSTER_STATS_TRACE_HH_
@@ -11,12 +11,15 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
 #include "net/packet.hh"
 
 namespace nowcluster {
+
+class SpanTracer;
 
 /** One traced message. */
 struct TraceRecord
@@ -33,16 +36,13 @@ struct TraceRecord
 class MessageTrace
 {
   public:
-    void
-    record(Tick issued, Tick ready, NodeId src, NodeId dst,
-           PacketKind kind, std::uint32_t bytes)
+    explicit MessageTrace(std::vector<TraceRecord> records = {})
+        : records_(std::move(records))
     {
-        records_.push_back({issued, ready, src, dst, kind, bytes});
     }
 
     const std::vector<TraceRecord> &records() const { return records_; }
     std::size_t size() const { return records_.size(); }
-    void clear() { records_.clear(); }
 
     /** Mean in-flight time (issue to presence bit), microseconds. */
     double meanFlightUs() const;
@@ -56,12 +56,18 @@ class MessageTrace
     /** Write `issued_us,ready_us,src,dst,kind,bytes` rows. */
     bool writeCsv(const std::string &path) const;
 
-    /** Load records back from a writeCsv file (appends). */
-    bool readCsv(const std::string &path);
-
   private:
     std::vector<TraceRecord> records_;
 };
+
+/**
+ * The message trace of a span-traced run: one record per application
+ * message, in the tracer's message order. Retransmitted copies are
+ * skipped. A message is issued once the host is free again, i.e. at
+ * the end of its tx-queue stall (its Cpu-track GapStall span) when it
+ * had one; only bulk fragments carry a byte count.
+ */
+MessageTrace messageTraceFromObs(const SpanTracer &tracer);
 
 /** Human-readable packet kind (also used in the CSV). */
 const char *packetKindName(PacketKind kind);

@@ -10,6 +10,7 @@
 #include "apps/app.hh"
 #include "harness/experiment.hh"
 #include "model/models.hh"
+#include "stats/trace.hh"
 
 namespace nowcluster {
 namespace {
@@ -186,11 +187,12 @@ TEST(Apps, MurphiLargerProtocolMeansMoreStates)
 
 TEST(Apps, TraceThroughHarnessSeesAppTraffic)
 {
-    MessageTrace trace;
+    SpanTracer tracer;
     RunConfig c = smallConfig(4, 0.1);
-    c.trace = &trace;
+    c.obs = &tracer;
     RunResult r = runApp("em3d-write", c);
     ASSERT_TRUE(r.ok);
+    const MessageTrace trace = messageTraceFromObs(tracer);
     // All messages of all nodes were traced.
     std::uint64_t expect = 0;
     expect = static_cast<std::uint64_t>(r.summary.avgMsgsPerProc) * 4;

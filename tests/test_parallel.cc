@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,9 @@
 #include "harness/runner.hh"
 #include "net/topology.hh"
 #include "obs/tracer.hh"
+#include "sim/parallel.hh"
+#include "splitc/splitc.hh"
+#include "stats/trace.hh"
 
 namespace nowcluster {
 namespace {
@@ -254,6 +258,78 @@ TEST(ParallelDes, DelayInjectionUnperturbedByTracing)
             << "traced delayed run diverged at " << threads
             << " threads";
         EXPECT_FALSE(tracer.spans().empty());
+    }
+}
+
+// The message trace is derived from the merged span tracer, so at one
+// shard layout it is the same at any thread count, down to the last
+// bit of the burstiness statistics.
+TEST(ParallelDes, MessageTraceIdenticalAcrossThreadCounts)
+{
+    MessageTrace base;
+    for (int threads : {1, 2, 4}) {
+        SpanTracer tracer;
+        RunConfig c = smallConfig(8, 0.05, threads);
+        c.validate = false;
+        c.knobs.simShards = 4;
+        c.obs = &tracer;
+        ASSERT_TRUE(runApp("radix", c).ok);
+        const MessageTrace trace = messageTraceFromObs(tracer);
+        ASSERT_GT(trace.size(), 0u);
+        if (threads == 1) {
+            base = trace;
+            continue;
+        }
+        EXPECT_EQ(trace.size(), base.size()) << threads;
+        EXPECT_EQ(trace.burstFraction(usec(11.6)),
+                  base.burstFraction(usec(11.6)))
+            << threads;
+        EXPECT_EQ(trace.meanFlightUs(), base.meanFlightUs()) << threads;
+    }
+}
+
+// An exception from one shard's callback stops the engine and leaves
+// run() on the calling thread, whatever the thread count; every
+// worker still reaches both barriers, so nothing deadlocks or aborts.
+TEST(ParallelEngine, ShardExceptionRethrowsFromRun)
+{
+    for (int threads : {1, 2, 4}) {
+        ParallelEngine engine(4, threads);
+        std::atomic<int> plans{0};
+        ParallelEngine::Callbacks cb;
+        cb.merge = [](int) {};
+        cb.exec = [](int s, Tick end) {
+            if (s == 1 && end == 30)
+                throw std::runtime_error("shard 1 failed");
+        };
+        cb.plan = [&] {
+            int k = ++plans;
+            return k > 10 ? kTickNever : Tick(10) * k;
+        };
+        EXPECT_THROW(engine.run(cb), std::runtime_error) << threads;
+        // Windows 10, 20, 30 were planned; the error stopped the
+        // engine before a fourth.
+        EXPECT_EQ(plans.load(), 3) << threads;
+    }
+}
+
+// The same through a whole cluster: a node program that throws on a
+// non-zero shard fails the Split-C run with that exception instead of
+// ending the process.
+TEST(ParallelDes, NodeExceptionFailsTheShardedRun)
+{
+    for (int threads : {2, 4}) {
+        LogGPParams params = MachineConfig::berkeleyNow().params;
+        params.simThreads = threads;
+        SplitCRuntime rt(8, params);
+        ASSERT_GT(rt.cluster().nshards(), 1);
+        auto body = [](SplitC &sc) {
+            sc.barrier();
+            if (sc.myProc() == 5)
+                throw std::runtime_error("node 5 failed");
+            sc.barrier();
+        };
+        EXPECT_THROW(rt.run(body), std::runtime_error) << threads;
     }
 }
 

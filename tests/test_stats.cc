@@ -106,6 +106,7 @@ TEST(Stats, PgmRoundTrip)
 // Message tracing.
 // ----------------------------------------------------------------------
 
+#include "obs/tracer.hh"
 #include "stats/trace.hh"
 
 namespace nowcluster {
@@ -114,12 +115,8 @@ namespace {
 TEST(Trace, RecordsEveryMessageOfARun)
 {
     SplitCRuntime rt(2, MachineConfig::berkeleyNow().params);
-    MessageTrace trace;
-    rt.cluster().setTraceHook([&](Tick issued, Tick ready, NodeId src,
-                                  NodeId dst, PacketKind kind,
-                                  std::uint32_t bytes) {
-        trace.record(issued, ready, src, dst, kind, bytes);
-    });
+    SpanTracer tracer;
+    rt.cluster().setTracer(&tracer);
     std::vector<std::int64_t> cell(2, 0);
     ASSERT_TRUE(rt.run([&](SplitC &sc) {
         if (sc.myProc() == 0) {
@@ -129,6 +126,7 @@ TEST(Trace, RecordsEveryMessageOfARun)
         }
         sc.barrier();
     }));
+    const MessageTrace trace = messageTraceFromObs(tracer);
     std::uint64_t sent = rt.cluster().node(0).counters().sent +
                          rt.cluster().node(1).counters().sent;
     EXPECT_EQ(trace.size(), sent);
@@ -139,23 +137,64 @@ TEST(Trace, RecordsEveryMessageOfARun)
     EXPECT_GT(trace.meanFlightUs(), 5.0);
 }
 
+// The derivation rule, on a hand-built tracer: a message is issued when
+// its Cpu-track tx-queue stall ends, short messages carry no byte
+// count, and retransmitted copies are not application messages.
+TEST(Trace, DerivedFromSpansIssuesAfterTheTxQueueStall)
+{
+    SpanTracer tracer;
+    auto msg = [&](NodeId src, Tick issued, PacketKind kind,
+                   std::uint32_t bytes, bool retx) {
+        ObsMessage m;
+        m.id = tracer.newMsgId();
+        m.src = src;
+        m.dst = 1 - src;
+        m.issued = issued;
+        m.ready = issued + usec(10);
+        m.kind = static_cast<std::uint8_t>(kind);
+        m.retx = retx;
+        m.bytes = bytes;
+        tracer.message(m);
+        return m.id;
+    };
+    std::uint64_t stalled = msg(0, usec(1), PacketKind::Request, 28, false);
+    tracer.span(0, TrackKind::Cpu, SpanCat::GapStall, usec(1), usec(4),
+                stalled);
+    std::uint64_t bulk = msg(1, usec(2), PacketKind::BulkFrag, 4096, false);
+    // A NIC-side stall does not hold the host.
+    tracer.span(1, TrackKind::NicTx, SpanCat::GapStall, usec(2), usec(9),
+                bulk);
+    msg(0, usec(3), PacketKind::OneWay, 28, true);
+
+    const MessageTrace trace = messageTraceFromObs(tracer);
+    ASSERT_EQ(trace.size(), 2u);
+    const TraceRecord &a = trace.records()[0];
+    EXPECT_EQ(a.issuedAt, usec(4));
+    EXPECT_EQ(a.readyAt, usec(11));
+    EXPECT_EQ(a.kind, PacketKind::Request);
+    EXPECT_EQ(a.bytes, 0u);
+    const TraceRecord &b = trace.records()[1];
+    EXPECT_EQ(b.issuedAt, usec(2));
+    EXPECT_EQ(b.src, 1);
+    EXPECT_EQ(b.bytes, 4096u);
+}
+
 TEST(Trace, BurstFractionSeparatesBurstyFromPaced)
 {
-    MessageTrace bursty, paced;
+    std::vector<TraceRecord> bursty, paced;
     for (int i = 0; i < 100; ++i) {
-        bursty.record(i * usec(2), i * usec(2) + usec(5), 0, 1,
-                      PacketKind::Request, 0);
-        paced.record(i * usec(100), i * usec(100) + usec(5), 0, 1,
-                     PacketKind::Request, 0);
+        bursty.push_back({i * usec(2), i * usec(2) + usec(5), 0, 1,
+                          PacketKind::Request, 0});
+        paced.push_back({i * usec(100), i * usec(100) + usec(5), 0, 1,
+                         PacketKind::Request, 0});
     }
-    EXPECT_DOUBLE_EQ(bursty.burstFraction(usec(10)), 1.0);
-    EXPECT_DOUBLE_EQ(paced.burstFraction(usec(10)), 0.0);
+    EXPECT_DOUBLE_EQ(MessageTrace(bursty).burstFraction(usec(10)), 1.0);
+    EXPECT_DOUBLE_EQ(MessageTrace(paced).burstFraction(usec(10)), 0.0);
 }
 
 TEST(Trace, CsvRoundTrip)
 {
-    MessageTrace t;
-    t.record(usec(1), usec(7), 0, 1, PacketKind::BulkFrag, 4096);
+    MessageTrace t({{usec(1), usec(7), 0, 1, PacketKind::BulkFrag, 4096}});
     std::string path = "/tmp/nowcluster_trace_test.csv";
     ASSERT_TRUE(t.writeCsv(path));
     std::FILE *f = std::fopen(path.c_str(), "r");
@@ -183,87 +222,10 @@ TEST(Trace, StatsOnEmptyAndSingleRecordTraces)
     EXPECT_DOUBLE_EQ(empty.meanFlightUs(), 0.0);
     EXPECT_DOUBLE_EQ(empty.burstFraction(usec(10)), 0.0);
 
-    MessageTrace one;
-    one.record(usec(3), usec(9), 0, 1, PacketKind::OneWay, 0);
+    MessageTrace one({{usec(3), usec(9), 0, 1, PacketKind::OneWay, 0}});
     EXPECT_DOUBLE_EQ(one.meanFlightUs(), 6.0);
     // A single message has no consecutive pair, hence no bursts.
     EXPECT_DOUBLE_EQ(one.burstFraction(usec(10)), 0.0);
-}
-
-namespace {
-
-void
-writeFile(const std::string &path, const std::string &body)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
-}
-
-} // namespace
-
-TEST(Trace, ReadCsvRejectsCorruptInputUntouched)
-{
-    const std::string path = "/tmp/nowcluster_trace_corrupt.csv";
-    MessageTrace t;
-    t.record(usec(1), usec(7), 0, 1, PacketKind::Request, 0);
-
-    // Bad header.
-    writeFile(path, "not,a,trace\n1,2,0,1,request,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // Row with too few fields.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // Out-of-range packet kind.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,0,1,warp,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // Negative node id.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,-3,1,request,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // A corrupt row anywhere rejects the whole file: nothing from the
-    // good prefix may leak into the trace.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,0,1,request,0\n"
-                    "garbage line\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, ReadCsvRoundTripsWriteCsv)
-{
-    const std::string path = "/tmp/nowcluster_trace_rt.csv";
-    MessageTrace t;
-    t.record(usec(1), usec(7), 0, 1, PacketKind::Request, 0);
-    t.record(usec(2), usec(8), 1, 0, PacketKind::Reply, 0);
-    t.record(usec(3), usec(9), 0, 1, PacketKind::OneWay, 0);
-    t.record(usec(4), usec(20), 1, 0, PacketKind::BulkFrag, 4096);
-    ASSERT_TRUE(t.writeCsv(path));
-
-    MessageTrace back;
-    ASSERT_TRUE(back.readCsv(path));
-    ASSERT_EQ(back.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(back.records()[i].issuedAt, t.records()[i].issuedAt);
-        EXPECT_EQ(back.records()[i].readyAt, t.records()[i].readyAt);
-        EXPECT_EQ(back.records()[i].src, t.records()[i].src);
-        EXPECT_EQ(back.records()[i].dst, t.records()[i].dst);
-        EXPECT_EQ(back.records()[i].kind, t.records()[i].kind);
-        EXPECT_EQ(back.records()[i].bytes, t.records()[i].bytes);
-    }
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -35,6 +35,7 @@
 #include "apps/app.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
+#include "obs/tracer.hh"
 #include "svc/backoff.hh"
 #include "svc/codec.hh"
 #include "svc/hash.hh"
@@ -499,13 +500,13 @@ TEST(CachedRuns, SinkedPointsBypassTheCache)
     CacheGuard guard(&cache);
 
     RunPoint pt = smallPoint();
-    MessageTrace trace;
-    pt.config.trace = &trace;
+    SpanTracer tracer;
+    pt.config.obs = &tracer;
     RunResult r = runPointCached(pt);
     EXPECT_TRUE(r.ok);
     // A traced run must really run (side effects), and must not
     // poison the store with a key that ignores the sink.
-    EXPECT_GT(trace.size(), 0u);
+    EXPECT_GT(tracer.messages().size(), 0u);
     EXPECT_EQ(store.entryCount(), 0u);
     EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }

@@ -14,7 +14,6 @@
  *   nowlab trace <app> [--out F.json] [--bin F] [knobs]
  *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
  *                    [--threshold F] [--out F.json] [knobs]
- *   nowlab replay --trace FILE.csv | --obs FILE [--procs N] [knobs]
  *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
  *                [--cache-only]
  *   nowlab submit <app> [knobs] [--host H] [--port P] [--wait]
@@ -62,9 +61,9 @@
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "obs/wavefront.hh"
-#include "replay/replay.hh"
 #include "sim/fiber.hh"
 #include "sim/simulator.hh"
+#include "stats/trace.hh"
 #include "svc/backoff.hh"
 #include "svc/codec.hh"
 #include "svc/hash.hh"
@@ -241,10 +240,12 @@ cmdRun(const Args &a)
     std::string key = a.positional[1];
     RunConfig c = configOf(a);
 
-    MessageTrace trace;
+    // --trace FILE.csv: the message trace is derived from a span
+    // tracer after the run, so it works on every engine.
+    SpanTracer tracer;
     auto trace_it = a.options.find("trace");
     if (trace_it != a.options.end())
-        c.trace = &trace;
+        c.obs = &tracer;
 
     RunResult r = runApp(key, c);
     const CommSummary &s = r.summary;
@@ -286,6 +287,7 @@ cmdRun(const Args &a)
     if (a.flags.count("matrix"))
         std::fputs(r.matrix.ascii().c_str(), stdout);
     if (trace_it != a.options.end()) {
+        const MessageTrace trace = messageTraceFromObs(tracer);
         if (trace.writeCsv(trace_it->second))
             std::printf("  wrote %zu trace records to %s (mean flight "
                         "%.1f us, burst fraction %.2f)\n",
@@ -1365,7 +1367,7 @@ cmdPerf(const Args &a)
  * attached, print the LogGP critical-path decomposition and the metrics
  * snapshot, and optionally export the timeline as Perfetto JSON
  * (--out, loadable in ui.perfetto.dev / chrome://tracing) and/or the
- * compact binary form (--bin, loadable by `nowlab replay --obs`).
+ * compact binary form (--bin; obs/export.hh reads it back).
  */
 int
 cmdTrace(const Args &a)
@@ -1538,55 +1540,6 @@ cmdWavefront(const Args &a)
             warn("could not write %s", out->second.c_str());
     }
     return 0;
-}
-
-int
-cmdReplay(const Args &a)
-{
-    auto trace_it = a.options.find("trace");
-    auto obs_it = a.options.find("obs");
-    fatal_if(trace_it == a.options.end() && obs_it == a.options.end(),
-             "usage: nowlab replay --trace FILE.csv | --obs FILE "
-             "[--procs N] [knobs]");
-    MessageTrace trace;
-    if (obs_it != a.options.end()) {
-        SpanTracer tracer;
-        fatal_if(!readBinaryTrace(tracer, obs_it->second),
-                 "cannot read %s (not a NOWOBS01 trace?)",
-                 obs_it->second.c_str());
-        trace = messageTraceFromObs(tracer);
-    } else {
-        fatal_if(!trace.readCsv(trace_it->second), "cannot read %s",
-                 trace_it->second.c_str());
-    }
-
-    RunConfig c = configOf(a);
-    // Infer the processor count from the trace when not given.
-    int nprocs = static_cast<int>(optLong(a, "procs", 0));
-    if (nprocs <= 0) {
-        for (const TraceRecord &r : trace.records())
-            nprocs = std::max({nprocs, r.src + 1, r.dst + 1});
-    }
-    fatal_if(nprocs <= 0, "empty trace and no --procs given");
-
-    LogGPParams recorded = machineOf(a).params;
-    ReplaySchedule sched = extractSchedule(trace, nprocs, recorded);
-
-    LogGPParams target = recorded;
-    knobsOf(a).applyTo(target);
-    ReplayResult base = replaySchedule(sched, recorded);
-    ReplayResult what_if = replaySchedule(sched, target);
-
-    std::printf("replay of %zu records (%llu sends) on %d procs\n",
-                trace.size(),
-                static_cast<unsigned long long>(sched.totalSends()),
-                nprocs);
-    std::printf("  recorded machine : %.3f ms makespan\n",
-                toMsec(base.makespan));
-    std::printf("  with knobs       : %.3f ms makespan (%.2fx)\n",
-                toMsec(what_if.makespan),
-                slowdown(what_if.makespan, base.makespan));
-    return base.ok && what_if.ok ? 0 : 1;
 }
 
 MachineConfig
@@ -1870,8 +1823,6 @@ main(int argc, char **argv)
             "  nowlab wavefront <app> [--node N] [--at US]\n"
             "             [--delays a,b,c] [--threshold F]\n"
             "             [--out F.json] [--procs N] [--scale S] [knobs]\n"
-            "  nowlab replay --trace FILE.csv | --obs FILE [--procs N]\n"
-            "             [knobs]\n"
             "  nowlab serve [--port P] [--jobs J] [--queue N]\n"
             "             [--cache-dir D] [--cache-only]\n"
             "             [--backend analytic] [--drift-tolerance F]\n"
@@ -1930,8 +1881,6 @@ main(int argc, char **argv)
         return cmdTrace(a);
     if (cmd == "wavefront")
         return cmdWavefront(a);
-    if (cmd == "replay")
-        return cmdReplay(a);
     if (cmd == "serve")
         return cmdServe(a);
     if (cmd == "submit")
