@@ -9,11 +9,13 @@
  * mean message interval from Table 4. High burst fractions are why
  * the burst gap model beats the uniform model in Table 6.
  *
- * Each point carries its own span tracer, so the ten runs fan out over
- * the Runner like every other bench; the message trace is derived from
- * each tracer afterwards.
+ * The ten runs fan out over the Runner, one job per application. Each
+ * job owns its span tracer, reduces the derived message trace to the
+ * row's three numbers and drops the tracer before the next job starts,
+ * so at most one tracer per worker is alive at a time.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -42,24 +44,41 @@ main(int argc, char **argv)
         .cell("burst<5g (29us)")
         .cell("mean flight (us)");
 
+    struct Row
+    {
+        std::string app;
+        double intervalUs = 0;
+        double burst2g = 0;
+        double burst5g = 0;
+        double flightUs = 0;
+    };
     const std::vector<std::string> keys = appKeys();
-    std::vector<SpanTracer> tracers(keys.size());
-    std::vector<RunPoint> pts;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        pts.push_back(RunPoint{keys[i], baseConfig(32, scale)});
-        pts.back().config.obs = &tracers[i];
+    std::vector<Row> rows(keys.size());
+    {
+        Runner pool(static_cast<int>(std::min<std::size_t>(
+            resolveJobs(jobsArg(argc, argv)), keys.size())));
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            pool.trySubmit([&, i] {
+                SpanTracer tracer;
+                RunPoint pt{keys[i], baseConfig(32, scale)};
+                pt.config.obs = &tracer;
+                const RunResult r = runPointCached(pt);
+                const MessageTrace trace = messageTraceFromObs(tracer);
+                rows[i] = {r.summary.app, r.summary.msgIntervalUs,
+                           trace.burstFraction(usec(11.6)),
+                           trace.burstFraction(usec(29.0)),
+                           trace.meanFlightUs()};
+            });
+        }
     }
-    const std::vector<RunResult> rs = runPoints(pts, jobsArg(argc, argv));
 
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        const RunResult &r = rs[i];
-        const MessageTrace trace = messageTraceFromObs(tracers[i]);
+    for (const Row &row : rows) {
         t.row()
-            .cell(r.summary.app)
-            .cell(r.summary.msgIntervalUs, 1)
-            .cell(trace.burstFraction(usec(11.6)), 2)
-            .cell(trace.burstFraction(usec(29.0)), 2)
-            .cell(trace.meanFlightUs(), 1);
+            .cell(row.app)
+            .cell(row.intervalUs, 1)
+            .cell(row.burst2g, 2)
+            .cell(row.burst5g, 2)
+            .cell(row.flightUs, 1);
     }
     t.print();
     std::printf("\nEven the apps with 100+ us mean intervals send most "

@@ -2,64 +2,45 @@
  * @file
  * Extension: collective algorithms under the knobs. The LogP model was
  * built to design communication schedules; this bench closes that loop
- * inside the laboratory by racing broadcast algorithms (linear,
- * binomial, LogP-greedy-optimal) across the latency and overhead
- * sweeps, and all-gather algorithms across block sizes.
+ * inside the laboratory by racing the tuned library's broadcast
+ * algorithms (flat, binomial, LogP-greedy) across the latency and
+ * overhead sweeps next to the cost model's LogP prediction, and its
+ * all-gather algorithms across block sizes.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "coll/collectives.hh"
+#include "coll/cost.hh"
+#include "coll/tuned/harness.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
 
 namespace {
 
-Tick
-timeBroadcast(const LogGPParams &params, int p, BcastAlg alg, int reps)
+/** Broadcast one word from rank 0: span from the entry barrier to the
+ *  last arrival anywhere, in us. */
+double
+bcastUs(const LogGPParams &params, int p, coll::CollAlg alg)
 {
-    // Span of one broadcast: the root's start to the last arrival
-    // anywhere, averaged over reps (the entry barrier is excluded so
-    // the algorithms, not the barrier, are compared).
-    SplitCRuntime rt(p, params);
-    Collectives coll(p, 1);
-    coll.setModel(std::max(params.oSend, params.gap),
-                  params.sendOverhead() + params.totalLatency() +
-                      params.recvOverhead());
-    Tick total = 0;
-    rt.run([&](SplitC &sc) {
-        coll.broadcast(sc, 1, 0, alg); // Warm the schedule.
-        for (int i = 0; i < reps; ++i) {
-            sc.barrier();
-            Tick t0 = sc.now();
-            coll.broadcast(sc, 42, 0, alg);
-            Tick latest = sc.allReduceMax(sc.now());
-            if (sc.myProc() == 0)
-                total += latest - t0;
-        }
-    });
-    return total / reps;
+    return toUsec(coll::measureCollective(params, coll::Coll::Broadcast,
+                                          alg, p, sizeof(Word)));
 }
 
-Tick
-timeAllGather(const LogGPParams &params, int p, GatherAlg alg,
-              std::size_t n)
+/** One row of a broadcast table: the three algorithms + the model. */
+void
+bcastRow(Table &t, double knob, const LogGPParams &params, int p)
 {
-    SplitCRuntime rt(p, params);
-    Collectives coll(p, n);
-    Tick elapsed = 0;
-    rt.run([&](SplitC &sc) {
-        std::vector<Word> mine(n, 7), out(n * p);
-        sc.barrier();
-        Tick t0 = sc.now();
-        coll.allGather(sc, mine.data(), n, out.data(), alg);
-        sc.barrier();
-        if (sc.myProc() == 0)
-            elapsed = sc.now() - t0;
-    });
-    return elapsed;
+    t.row()
+        .cell(knob, 1)
+        .cell(bcastUs(params, p, coll::CollAlg::BcastFlat), 1)
+        .cell(bcastUs(params, p, coll::CollAlg::BcastBinomial), 1)
+        .cell(bcastUs(params, p, coll::CollAlg::BcastLogP), 1)
+        .cell(toUsec(coll::predictCollective(
+                  pointFromParams(params), coll::Coll::Broadcast,
+                  coll::CollAlg::BcastLogP, p, sizeof(Word))),
+              1);
 }
 
 } // namespace
@@ -70,53 +51,29 @@ main(int argc, char **argv)
     const int p = 32;
     traceOutIfRequested(argc, argv, "radix", p, scaleOr(1.0));
     std::printf("Collective algorithms under the LogGP knobs, %d "
-                "nodes\n(broadcast columns: span from root start to "
-                "last arrival, us)\n",
+                "nodes\n(broadcast columns: span from entry to last "
+                "arrival of one word, us)\n",
                 p);
 
     std::printf("\n--- broadcast vs latency ---\n");
     Table bl;
-    bl.row().cell("L(us)").cell("linear").cell("binomial").cell(
-        "logp-optimal").cell("model-pred");
+    bl.row().cell("L(us)").cell("flat").cell("binomial").cell("logp").cell(
+        "model-pred");
     for (double l : {5.0, 15.0, 55.0, 105.0}) {
         auto params = MachineConfig::berkeleyNow().params;
         params.setDesiredLatencyUsec(l);
-        Tick arrive = params.sendOverhead() + params.totalLatency() +
-                      params.recvOverhead();
-        auto steps = buildOptimalBroadcast(
-            p, std::max(params.oSend, params.gap), arrive);
-        bl.row()
-            .cell(l, 1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Linear, 8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Binomial,
-                                       8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p,
-                                       BcastAlg::LogPOptimal, 8)),
-                  1)
-            .cell(toUsec(predictedBroadcastCompletion(steps, arrive)),
-                  1);
+        bcastRow(bl, l, params, p);
     }
     bl.print();
 
     std::printf("\n--- broadcast vs overhead ---\n");
     Table bo;
-    bo.row().cell("o(us)").cell("linear").cell("binomial").cell(
-        "logp-optimal");
+    bo.row().cell("o(us)").cell("flat").cell("binomial").cell("logp").cell(
+        "model-pred");
     for (double o : {2.9, 12.9, 52.9}) {
         auto params = MachineConfig::berkeleyNow().params;
         params.setDesiredOverheadUsec(o);
-        bo.row()
-            .cell(o, 1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Linear, 8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Binomial,
-                                       8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p,
-                                       BcastAlg::LogPOptimal, 8)),
-                  1);
+        bcastRow(bo, o, params, p);
     }
     bo.print();
 
@@ -124,15 +81,16 @@ main(int argc, char **argv)
     Table ag;
     ag.row().cell("words/proc").cell("ring (us)").cell(
         "doubling (us)");
+    const auto params = MachineConfig::berkeleyNow().params;
     for (std::size_t n : {8u, 128u, 2048u}) {
-        auto params = MachineConfig::berkeleyNow().params;
+        auto gather_us = [&](coll::CollAlg alg) {
+            return toUsec(coll::measureCollective(
+                params, coll::Coll::AllGather, alg, p, n * sizeof(Word)));
+        };
         ag.row()
             .cell(static_cast<std::int64_t>(n))
-            .cell(toUsec(timeAllGather(params, p, GatherAlg::Ring, n)),
-                  1)
-            .cell(toUsec(timeAllGather(
-                      params, p, GatherAlg::RecursiveDoubling, n)),
-                  1);
+            .cell(gather_us(coll::CollAlg::AgRing), 1)
+            .cell(gather_us(coll::CollAlg::AgRecDouble), 1);
     }
     ag.print();
     return 0;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tour of the collectives library: run broadcast / all-gather /
- * all-to-all / scan on a simulated cluster, then rebuild the
- * LogP-optimal broadcast schedule for a high-latency machine and watch
- * it restructure itself from a deep tree into a wide, pipelined one.
+ * Tour of the tuned collectives library: run broadcast / all-gather /
+ * all-reduce on a simulated cluster, then rebuild the LogP-optimal
+ * broadcast schedule for a high-latency machine and watch it
+ * restructure itself from a deep tree into a wide, pipelined one.
  *
  *   $ ./examples/collectives_tour [nprocs]
  */
@@ -13,7 +13,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "coll/collectives.hh"
+#include "coll/cost.hh"
+#include "coll/tuned/tuned.hh"
 
 using namespace nowcluster;
 
@@ -23,7 +24,8 @@ void
 describeSchedule(const char *title, Tick send_interval,
                  Tick arrival_cost, int p)
 {
-    auto steps = buildOptimalBroadcast(p, send_interval, arrival_cost);
+    auto steps =
+        coll::buildOptimalBroadcast(p, send_interval, arrival_cost);
     // Fan-out of the root and depth of the tree.
     int root_sends = 0;
     std::vector<int> depth(p, 0);
@@ -33,11 +35,11 @@ describeSchedule(const char *title, Tick send_interval,
         depth[s.receiver] = depth[s.sender] + 1;
     }
     int max_depth = *std::max_element(depth.begin(), depth.end());
+    // Steps are in issue order, so the last one arrives last.
+    const Tick done = steps.empty() ? 0 : steps.back().issueAt + arrival_cost;
     std::printf("  %-28s root fan-out %2d, tree depth %d, predicted "
                 "completion %.1f us\n",
-                title, root_sends, max_depth,
-                toUsec(predictedBroadcastCompletion(steps,
-                                                    arrival_cost)));
+                title, root_sends, max_depth, toUsec(done));
 }
 
 } // namespace
@@ -52,20 +54,21 @@ main(int argc, char **argv)
 
     // ---- Part 1: the operations, end to end ---------------------------
     SplitCRuntime rt(p, params);
-    Collectives coll(p, 8);
+    coll::TunedCollectives tc(rt);
     rt.run([&](SplitC &sc) {
         int me = sc.myProc();
 
-        Word token = coll.broadcast(sc, me == 0 ? 1234 : 0, 0,
-                                    BcastAlg::LogPOptimal);
+        Word token = me == 0 ? 1234 : 0;
+        tc.broadcast(sc, &token, sizeof token, 0, coll::CollAlg::BcastLogP);
 
         std::vector<Word> mine(2), everyone(2 * p);
         mine[0] = static_cast<Word>(me);
         mine[1] = static_cast<Word>(me * me);
-        coll.allGather(sc, mine.data(), 2, everyone.data(),
-                       GatherAlg::Ring);
+        tc.allGather(sc, mine.data(), sizeof(Word) * 2, everyone.data(),
+                     coll::CollAlg::AgRing);
 
-        std::int64_t prefix = coll.scanAdd(sc, me + 1);
+        std::int64_t total = me + 1;
+        tc.allReduceAdd(sc, &total, 1); // Cost-model-picked algorithm.
 
         if (me == p - 1) {
             std::printf("broadcast delivered %llu to rank %d\n",
@@ -73,9 +76,8 @@ main(int argc, char **argv)
             std::printf("all-gather: rank 1 contributed (%llu, %llu)\n",
                         static_cast<unsigned long long>(everyone[2]),
                         static_cast<unsigned long long>(everyone[3]));
-            std::printf("scan: inclusive prefix at last rank = %lld "
-                        "(expected %d)\n",
-                        static_cast<long long>(prefix),
+            std::printf("all-reduce: sum of 1..%d = %lld (expected %d)\n",
+                        p, static_cast<long long>(total),
                         p * (p + 1) / 2);
         }
     });

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Measure the experiment engine itself and record the result as
-# BENCH_engine.json: event-loop throughput through the fast-path queue
-# vs the frozen legacy queue, pooled fiber stand-up cost, wall-clock
-# for a canonical sweep run serially vs fanned out across --jobs
-# workers (verifying the two produce byte-identical results), and the
-# sharded parallel-DES engine on a 1024-node oversubscribed fat-tree
-# at 1, 2 and hardware-concurrency threads (events/s + the fingerprint
+# BENCH_engine.json: event-loop throughput through the fast-path queue,
+# pooled fiber stand-up cost, wall-clock for a canonical sweep run
+# serially vs fanned out across --jobs workers (verifying the two
+# produce byte-identical results), and the sharded parallel-DES engine
+# on a 1024-node oversubscribed fat-tree at 1, 2 and
+# hardware-concurrency threads (events/s + the fingerprint
 # identity check). hw_concurrency and jobs_used record the machine the
 # numbers came from -- speedups on a 1-core runner are honest 1.0x.
 #

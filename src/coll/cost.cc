@@ -1,6 +1,7 @@
 #include "coll/cost.hh"
 
 #include <algorithm>
+#include <queue>
 
 #include "base/logging.hh"
 
@@ -53,6 +54,9 @@ predictBroadcast(const LogGPPoint &pt, CollAlg alg, int p,
 {
     const int lg = ceilLog2(p);
     switch (alg) {
+      case CollAlg::BcastLogP:
+        // Steps are in issue order: the last one arrives last.
+        return logpBroadcast(pt, p, b).back().issueAt + msgTime(pt, b);
       case CollAlg::BcastFlat:
         // Root serializes P-1 sends at max(host, NIC) pace; the last
         // one then crosses the wire.
@@ -219,6 +223,40 @@ Tick
 msgTime(const LogGPPoint &pt, std::size_t bytes)
 {
     return pt.oSend + wireTime(pt, bytes) + pt.oRecv;
+}
+
+std::vector<BroadcastStep>
+buildOptimalBroadcast(int nprocs, Tick send_interval, Tick arrival_cost)
+{
+    // Degenerate sizes need no schedule (and no model): accept them
+    // before validating the parameters.
+    std::vector<BroadcastStep> steps;
+    if (nprocs <= 1)
+        return steps;
+    panic_if(send_interval < 0 || arrival_cost < 0,
+             "broadcast schedule needs non-negative model parameters");
+
+    // Min-heap of (next free transmission slot, node). Greedy: the
+    // next reception always uses the earliest available slot, and new
+    // holders immediately start transmitting themselves.
+    using Slot = std::pair<Tick, NodeId>;
+    std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free;
+    free.push({0, 0});
+    for (NodeId receiver = 1; receiver < nprocs; ++receiver) {
+        auto [t, sender] = free.top();
+        free.pop();
+        steps.push_back({sender, receiver, t});
+        free.push({t + send_interval, sender});
+        free.push({t + arrival_cost, receiver});
+    }
+    return steps;
+}
+
+std::vector<BroadcastStep>
+logpBroadcast(const LogGPPoint &pt, int nprocs, std::size_t bytes)
+{
+    return buildOptimalBroadcast(
+        nprocs, std::max(pt.oSend, txSlot(pt, bytes)), msgTime(pt, bytes));
 }
 
 Tick

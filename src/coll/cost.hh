@@ -2,8 +2,8 @@
  * @file
  * LogGP cost models for the tuned collective algorithms.
  *
- * Every algorithm in coll/tuned gets a closed-form completion-time
- * prediction from an operating point (L, o, g, G) -- the approach of
+ * Every algorithm in coll/tuned gets a completion-time prediction
+ * from an operating point (L, o, g, G) -- the approach of
  * Barchet-Estefanel & Mounié's intra-cluster collective tuning work:
  * model each candidate, pick the argmin, and validate predicted vs
  * measured on a size x nprocs grid (`nowlab coll validate`).
@@ -19,6 +19,7 @@
 #define NOWCLUSTER_COLL_COST_HH_
 
 #include <cstddef>
+#include <vector>
 
 #include "model/models.hh"
 
@@ -41,6 +42,7 @@ constexpr int kNumColls = 5;
 enum class CollAlg
 {
     // Broadcast (bytes = total payload).
+    BcastLogP,       ///< Greedy LogP-optimal schedule.
     BcastFlat,       ///< Root sends to everyone in turn.
     BcastBinomial,   ///< Classic log P tree.
     BcastChain,      ///< Pipelined chain of fragment-size segments.
@@ -62,8 +64,6 @@ enum class CollAlg
     ArRabenseifner,  ///< Reduce-scatter + allgather; power-of-two P.
 };
 
-constexpr int kNumAlgs = 15;
-
 /**
  * Predicted completion time of one collective invocation: the span
  * from every processor entering (post-barrier) to the last processor
@@ -81,6 +81,39 @@ Tick txSlot(const LogGPPoint &pt, std::size_t bytes);
 
 /** End-to-end time of one b-byte message: oSend + slot + L + oRecv. */
 Tick msgTime(const LogGPPoint &pt, std::size_t bytes);
+
+/** One edge of a broadcast schedule. */
+struct BroadcastStep
+{
+    NodeId sender;
+    NodeId receiver;
+    /** Model time the send is issued (execution is data-driven). */
+    Tick issueAt;
+};
+
+/**
+ * The LogP model's original application (Culler et al., "LogP:
+ * Towards a Realistic Model of Parallel Computation"): the
+ * greedy-optimal broadcast schedule for P processors rooted at 0.
+ * Every holder of the value keeps transmitting at the send interval,
+ * and each transmission goes to the next rank in the earliest free
+ * slot, so the tree bends from deep (send slots scarce) to wide
+ * (latency dominant) with the machine. Steps come out in
+ * non-decreasing issue time.
+ *
+ * @param send_interval  Time between consecutive sends by one node.
+ * @param arrival_cost   Send-to-usable delay of one message.
+ */
+std::vector<BroadcastStep>
+buildOptimalBroadcast(int nprocs, Tick send_interval, Tick arrival_cost);
+
+/**
+ * The schedule BcastLogP runs for a b-byte payload: send interval
+ * max(oSend, txSlot(b)) and arrival cost msgTime(b), so the model and
+ * the execution agree on one tree.
+ */
+std::vector<BroadcastStep> logpBroadcast(const LogGPPoint &pt,
+                                         int nprocs, std::size_t bytes);
 
 } // namespace coll
 } // namespace nowcluster

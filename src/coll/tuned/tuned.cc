@@ -117,6 +117,9 @@ TunedCollectives::broadcast(SplitC &sc, void *data, std::size_t bytes,
     const int rel = (sc.myProc() - root + p) % p;
     auto *d = static_cast<std::uint8_t *>(data);
     switch (alg) {
+      case CollAlg::BcastLogP:
+        bcastLogP(sc, d, bytes, rel, root, epoch);
+        break;
       case CollAlg::BcastFlat:
         bcastFlat(sc, d, bytes, rel, root, epoch);
         break;
@@ -133,6 +136,26 @@ TunedCollectives::broadcast(SplitC &sc, void *data, std::size_t bytes,
         panic("unreachable");
     }
     sc.storeSync();
+}
+
+void
+TunedCollectives::bcastLogP(SplitC &sc, std::uint8_t *data,
+                            std::size_t bytes, int rel, NodeId root,
+                            std::int64_t epoch)
+{
+    const int p = sc.procs();
+    if (rel != 0)
+        waitSlot(sc, mine(sc).seen[0], epoch, "logp broadcast");
+    // Every node derives the same schedule from the immutable operating
+    // point, so no shared state is built (or raced on) mid-run. Steps
+    // are in issue order, so my targets come out in my send order.
+    for (const BroadcastStep &s : logpBroadcast(point_, p, bytes)) {
+        if (s.sender != rel)
+            continue;
+        const NodeId dst = static_cast<NodeId>((s.receiver + root) % p);
+        storeSignal(sc, dst, nodes_[dst].pub, data, bytes,
+                    &nodes_[dst].seen[0], epoch);
+    }
 }
 
 void

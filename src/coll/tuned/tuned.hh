@@ -152,6 +152,8 @@ class TunedCollectives
     void waitSlot(SplitC &sc, const std::int64_t &slot,
                   std::int64_t epoch, const char *what);
 
+    void bcastLogP(SplitC &sc, std::uint8_t *data, std::size_t bytes,
+                   int rel, NodeId root, std::int64_t epoch);
     void bcastFlat(SplitC &sc, std::uint8_t *data, std::size_t bytes,
                    int rel, NodeId root, std::int64_t epoch);
     void bcastBinomial(SplitC &sc, std::uint8_t *data,

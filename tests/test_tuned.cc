@@ -314,6 +314,35 @@ TEST(CollCost, LargeBroadcastPrefersPipelinesSmallPrefersTrees)
         << algName(big);
 }
 
+TEST(CollCost, LogPBroadcastNeverPredictedSlowerThanBinomial)
+{
+    // While the send interval s does not exceed the arrival cost a
+    // (true at these NOW-derived points), a binomial tree completes in
+    // ceil(log2 P) arrivals -- exactly the binomial formula -- and the
+    // greedy schedule is optimal under the same s and a terms.
+    for (double latency : {5.0, 105.0}) {
+        for (double overhead : {2.9, 52.9}) {
+            LogGPParams params = baseline();
+            params.setDesiredLatencyUsec(latency);
+            params.setDesiredOverheadUsec(overhead);
+            const LogGPPoint pt = pointFromParams(params);
+            for (int p = 2; p <= 64; ++p) {
+                for (std::size_t b : {std::size_t(0), std::size_t(8),
+                                      std::size_t(256), std::size_t(4096),
+                                      std::size_t(1) << 16}) {
+                    EXPECT_LE(predictCollective(pt, Coll::Broadcast,
+                                                CollAlg::BcastLogP, p, b),
+                              predictCollective(pt, Coll::Broadcast,
+                                                CollAlg::BcastBinomial,
+                                                p, b))
+                        << "L=" << latency << " o=" << overhead
+                        << " p=" << p << " bytes=" << b;
+                }
+            }
+        }
+    }
+}
+
 TEST(CollCost, DecisionTableCoversGridAndRenders)
 {
     const LogGPPoint pt = pointFromParams(baseline());
@@ -357,12 +386,16 @@ TEST(TunedDeterminism, ByteIdenticalAcrossSimThreads)
         SplitCRuntime rt(p, params);
         TunedCollectives tc(rt);
         std::vector<std::vector<std::uint8_t>> outs(
-            p, std::vector<std::uint8_t>(p * 64, 0));
+            p, std::vector<std::uint8_t>(p * 64 + 64, 0));
         ASSERT_TRUE(rt.run([&](SplitC &sc) {
             const int me = sc.myProc();
             std::vector<std::uint8_t> mine(64);
             for (std::size_t i = 0; i < mine.size(); ++i)
                 mine[i] = patByte(me, i);
+            std::uint8_t *bcast = outs[me].data() + p * 64;
+            if (me == 5)
+                std::memcpy(bcast, mine.data(), mine.size());
+            tc.broadcast(sc, bcast, mine.size(), 5, CollAlg::BcastLogP);
             tc.allGather(sc, mine.data(), mine.size(),
                          outs[me].data(), CollAlg::AgBruck);
             std::vector<std::int64_t> vec(8, me);

@@ -54,7 +54,6 @@
 #include "coll/tuned/harness.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
-#include "legacy_event_queue.hh"
 #include "model/models.hh"
 #include "obs/critpath.hh"
 #include "obs/export.hh"
@@ -1108,9 +1107,8 @@ cmdStorm(const Args &a)
  * `nowlab perf`: the perf-trajectory benchmark behind
  * scripts/bench_perf.sh and BENCH_engine.json.
  *
- * Measures (1) raw event-loop throughput through the new pooled
- * explicit-heap queue vs the frozen legacy std::function queue
- * (bench/legacy_event_queue.hh), (2) pooled fiber stand-up cost and the
+ * Measures (1) raw event-loop throughput through the pooled
+ * explicit-heap queue, (2) pooled fiber stand-up cost and the
  * resume+yield round trip, and (3) wall-clock for a canonical knob
  * sweep run serially vs fanned out with the parallel runner --
  * verifying on the way that both produce byte-identical per-point
@@ -1131,10 +1129,10 @@ cmdPerf(const Args &a)
     const int jobs = resolveJobs(static_cast<int>(optLong(a, "jobs", 0)));
     const int npoints = static_cast<int>(optLong(a, "points", 8));
 
-    // --- (1) event-loop throughput, new vs legacy ---------------------
-    // Identical workloads: batches of 1000 events with a 24-byte
-    // capture (bigger than std::function's 16-byte SBO, like nearly
-    // every real event closure), drained in order.
+    // --- (1) event-loop throughput -----------------------------------
+    // Batches of 1000 events with a 24-byte capture (bigger than
+    // std::function's 16-byte SBO, like nearly every real event
+    // closure), drained in order.
     struct Cap
     {
         std::uint64_t *sink;
@@ -1143,7 +1141,7 @@ cmdPerf(const Args &a)
     std::uint64_t sink = 0;
     Cap cap{&sink, 1, 2};
 
-    double new_eps = 0, legacy_eps = 0;
+    double eps = 0;
     {
         EventQueue q;
         auto t0 = Clock::now();
@@ -1153,22 +1151,9 @@ cmdPerf(const Args &a)
             while (!q.empty())
                 q.pop().second();
         }
-        new_eps = static_cast<double>(events) / seconds_since(t0);
+        eps = static_cast<double>(events) / seconds_since(t0);
     }
-    {
-        bench::LegacyEventQueue q;
-        auto t0 = Clock::now();
-        for (long done = 0; done < events; done += 1000) {
-            for (int i = 0; i < 1000; ++i)
-                q.schedule(i, [cap] { *cap.sink += cap.a; });
-            while (!q.empty())
-                q.pop().second();
-        }
-        legacy_eps = static_cast<double>(events) / seconds_since(t0);
-    }
-    std::printf("event loop : %.2f Mev/s new, %.2f Mev/s legacy "
-                "(%.2fx)\n",
-                new_eps / 1e6, legacy_eps / 1e6, new_eps / legacy_eps);
+    std::printf("event loop : %.2f Mev/s\n", eps / 1e6);
 
     // --- (2) pooled fiber stand-up ------------------------------------
     const int kFibers = 2000;
@@ -1317,9 +1302,7 @@ cmdPerf(const Args &a)
             "  \"jobs_used\": %d,\n"
             "  \"event_loop\": {\n"
             "    \"events\": %ld,\n"
-            "    \"new_events_per_sec\": %.0f,\n"
-            "    \"legacy_events_per_sec\": %.0f,\n"
-            "    \"fast_path_speedup\": %.3f\n"
+            "    \"new_events_per_sec\": %.0f\n"
             "  },\n"
             "  \"fiber\": {\n"
             "    \"create_run_destroy_us\": %.3f,\n"
@@ -1348,8 +1331,7 @@ cmdPerf(const Args &a)
             "    \"fingerprints_byte_identical\": %s\n"
             "  }\n"
             "}\n",
-            hardwareJobs(), jobs, events, new_eps, legacy_eps,
-            new_eps / legacy_eps, fiber_us, switch_ns,
+            hardwareJobs(), jobs, events, eps, fiber_us, switch_ns,
             static_cast<unsigned long long>(pool.hits()),
             static_cast<unsigned long long>(pool.misses()), app.c_str(),
             npoints, base.nprocs, base.scale, serial_s, jobs, parallel_s,
