@@ -2,11 +2,13 @@
  * @file
  * Ablation: is the paper's contention-free network assumption safe?
  * The paper models its ten-switch Myrinet as constant latency. Here
- * every application runs three ways: no fabric, the realistic fabric
- * (4 hosts/switch at 160 MB/s links), and a crippled fabric (10 MB/s
- * links). At Myrinet speeds the applications should be essentially
- * unchanged -- validating the paper's simplification -- while slow
- * links expose which applications would notice switch contention.
+ * every application runs on the fat-tree (net/topology.hh) with 4
+ * hosts per leaf switch, no oversubscription and no extra hop latency,
+ * at 160 MB/s (Myrinet) links and at slower 40 and 10 MB/s links, and
+ * is compared with the constant-latency network. At Myrinet speeds the
+ * applications should be nearly unchanged -- validating the paper's
+ * simplification -- while slow links expose which applications would
+ * notice switch contention.
  */
 
 #include <cstdio>
@@ -23,8 +25,8 @@ main(int argc, char **argv)
     double scale = scaleOr(1.0);
     int jobs = jobsArg(argc, argv);
     traceOutIfRequested(argc, argv, "radix", 32, scale);
-    std::printf("Ablation: switch-fabric contention (32 nodes, 4 "
-                "hosts/leaf switch, scale=%.2f)\n",
+    std::printf("Ablation: switch contention on a fat-tree (32 nodes, 4 "
+                "hosts/leaf switch, oversub 1, hop 0, scale=%.2f)\n",
                 scale);
     std::printf("Entries are slowdown relative to the constant-latency "
                 "network.\n\n");
@@ -32,9 +34,9 @@ main(int argc, char **argv)
     Table t;
     t.row()
         .cell("Program")
-        .cell("fabric 160 MB/s")
-        .cell("fabric 40 MB/s")
-        .cell("fabric 10 MB/s");
+        .cell("links 160 MB/s")
+        .cell("links 40 MB/s")
+        .cell("links 10 MB/s");
 
     const std::vector<double> link_mbps = {160.0, 40.0, 10.0};
 
@@ -45,8 +47,12 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < keys.size(); ++i) {
         for (double mbps : link_mbps) {
             RunPoint p{keys[i], baseConfig(32, scale)};
-            p.config.knobs.fabricLinkMBps = mbps;
-            p.config.knobs.fabricHosts = 4;
+            Knobs &k = p.config.knobs;
+            k.topo = 1;
+            k.topoHosts = 4;
+            k.topoOversub = 1;
+            k.topoHopUs = 0;
+            k.topoLinkMBps = mbps;
             p.config.validate = false;
             p.config.maxTime = bases[i].runtime * 100 + kSec;
             pts.push_back(std::move(p));
@@ -66,9 +72,10 @@ main(int argc, char **argv)
         }
     }
     t.print();
-    std::printf("\nAt Myrinet link speeds the fabric is invisible "
-                "(validating the paper's constant-latency model); "
-                "contention only appears once links are an order of "
-                "magnitude slower.\n");
+    std::printf("\nAt Myrinet link speeds contention moves most "
+                "applications by a few percent (Barnes, whose lock "
+                "retries are timing-sensitive, further and either way), "
+                "supporting the paper's constant-latency model; it "
+                "shows once links are an order of magnitude slower.\n");
     return 0;
 }

@@ -35,7 +35,7 @@ echo "== 1024-node parallel smoke =="
 # sure the Perfetto export is valid JSON (loadable in ui.perfetto.dev).
 echo "== traced smoke run =="
 "$BUILD"/tools/nowlab trace radix --procs 4 --scale 0.1 \
-    --out results/radix_trace.json --bin results/radix_trace.obs \
+    --out results/radix_trace.json \
     2>&1 | tee results/nowlab_trace.txt
 python3 -m json.tool results/radix_trace.json > /dev/null \
     && echo "results/radix_trace.json: valid JSON"

@@ -131,7 +131,7 @@ AmNode::sendPacket(Packet &&pkt, bool pay_overhead)
         m.issued = h;
         m.inject = a.injectStart;
         m.wire = a.wireAt;
-        m.ready = pkt.readyAt; // Refined by the network (fabric/fault).
+        m.ready = pkt.readyAt; // Refined by the network (topology/fault).
         m.wireLatency = p.totalLatency();
         m.kind = static_cast<std::uint8_t>(pkt.kind);
         m.retx = pkt.retx;

@@ -16,9 +16,6 @@ Cluster::Cluster(int nprocs, const LogGPParams &params, std::uint64_t seed)
     fatal_if(nprocs < 1, "cluster needs at least one processor");
     fatal_if(params.window < 1, "flow-control window must be positive");
     fatal_if(params.txQueueDepth < 1, "tx queue depth must be positive");
-    fatal_if(params.fabric && params.topo,
-             "the flat fabric and the fat-tree topology are mutually "
-             "exclusive; pick one");
 
     // Built-in handler 0: StoreAck (completes the sender's storeSync
     // and fires any per-store callback).
@@ -33,11 +30,6 @@ Cluster::Cluster(int nprocs, const LogGPParams &params, std::uint64_t seed)
         tc.oversub = params.topoOversub;
         tc.hopLatency = params.topoHopLatency;
         topo_ = std::make_unique<FatTreeTopology>(nprocs, tc);
-    } else if (params.fabric) {
-        SwitchFabric::Config fc;
-        fc.hostsPerSwitch = params.fabricHostsPerSwitch;
-        fc.linkMBps = params.fabricLinkMBps;
-        fabric_ = std::make_unique<SwitchFabric>(nprocs, fc);
     }
 
     // Shard layout. The shard count is a pure function of the
@@ -48,9 +40,6 @@ Cluster::Cluster(int nprocs, const LogGPParams &params, std::uint64_t seed)
     simThreads_ = std::max(params.simThreads, 0);
     shard_.assign(nprocs, 0);
     if (simThreads_ > 0) {
-        fatal_if(fabric_ != nullptr,
-                 "the sharded engine supports the fat-tree topology "
-                 "(topo), not the flat fabric");
         fatal_if(params.latency <= 0,
                  "the sharded engine needs a positive wire latency L "
                  "as its lookahead");
@@ -452,21 +441,15 @@ Cluster::transmit(Packet &&pkt)
              pkt.dst);
     const int ss = shard_[pkt.src];
     const std::size_t bytes = pkt.isBulk() ? pkt.bulk.size() : 0;
-    if (topo_) {
-        if (!topo_->sameLeaf(pkt.src, pkt.dst)) {
-            // The source leaf's uplink is claimed here, in the
-            // sender's event order; the destination leaf's downlink is
-            // claimed when the packet reaches the leaf (see arrive()),
-            // in the receiver's event order. Both links stay
-            // single-owner under sharding.
-            pkt.readyAt += topo_->hopLatency();
-            pkt.readyAt += topo_->uplink(topo_->leafOf(pkt.src), bytes,
-                                         pkt.readyAt);
-            pkt.spineHop = true;
-        }
-    } else if (fabric_) {
-        pkt.readyAt += fabric_->contentionDelay(pkt.src, pkt.dst, bytes,
-                                                pkt.readyAt);
+    if (topo_ && !topo_->sameLeaf(pkt.src, pkt.dst)) {
+        // The source leaf's uplink is claimed here, in the sender's
+        // event order; the destination leaf's downlink is claimed when
+        // the packet reaches the leaf (see arrive()), in the receiver's
+        // event order. Both links stay single-owner under sharding.
+        pkt.readyAt += topo_->hopLatency();
+        pkt.readyAt += topo_->uplink(topo_->leafOf(pkt.src), bytes,
+                                     pkt.readyAt);
+        pkt.spineHop = true;
     }
     if (FaultModel *fm = faultFor(ss)) {
         FaultDecision d = fm->apply(pkt.src, pkt.dst, PacketClass::Data,

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "am/am_node.hh"
-#include "net/fabric.hh"
 #include "net/fault.hh"
 #include "net/loggp.hh"
 #include "net/topology.hh"
@@ -178,9 +177,6 @@ class Cluster
     void setTracer(SpanTracer *tracer);
     SpanTracer *tracer() const { return tracer_; }
 
-    /** The flat fabric model, if enabled (diagnostics). */
-    const SwitchFabric *fabric() const { return fabric_.get(); }
-
     /** The fat-tree topology model, if enabled (diagnostics). */
     const FatTreeTopology *topology() const { return topo_.get(); }
 
@@ -296,7 +292,6 @@ class Cluster
     std::atomic<bool> draining_{false};
     bool timedOut_ = false;
     bool started_ = false;
-    std::unique_ptr<SwitchFabric> fabric_;
     std::unique_ptr<FatTreeTopology> topo_;
     std::string stallReport_;
 };

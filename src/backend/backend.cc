@@ -49,8 +49,6 @@ modelKeyOf(const RunPoint &pt)
     putI(out, static_cast<long long>(c.seed));
     putD(out, k.occupancyUs);
     putI(out, k.window);
-    putI(out, k.fabricHosts);
-    putD(out, k.fabricLinkMBps);
     putI(out, k.topo);
     putI(out, k.topoHosts);
     putD(out, k.topoLinkMBps);

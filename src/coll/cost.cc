@@ -63,10 +63,18 @@ predictBroadcast(const LogGPPoint &pt, CollAlg alg, int p,
         return static_cast<Tick>(p - 2) *
                    std::max(pt.oSend, txSlot(pt, b)) +
                msgTime(pt, b);
-      case CollAlg::BcastBinomial:
-        // Critical path: the chain of first-child relays, depth
-        // ceil(log2 P), each a full store end to end.
-        return static_cast<Tick>(lg) * msgTime(pt, b);
+      case CollAlg::BcastBinomial: {
+        // Every holder sends to its largest subtree first, then one
+        // send interval s apart. A hop to a holder's j-th child costs
+        // (j-1)*s + msgTime and uses up j of the ceil(log2 P) levels,
+        // so the last rank holds the value after one msgTime plus
+        // lg - 1 levels at max(s, msgTime) each: the first-child chain
+        // when s <= msgTime, the root's last send when s is larger.
+        const Tick m = msgTime(pt, b);
+        const Tick s = std::max(pt.oSend, txSlot(pt, b));
+        return lg == 0 ? 0
+                       : m + static_cast<Tick>(lg - 1) * std::max(s, m);
+      }
       case CollAlg::BcastChain: {
         // Fragment-size segments pipeline down the rank chain: the
         // first segment pays P-1 full hops, every further segment one

@@ -23,13 +23,6 @@ Knobs::applyTo(LogGPParams &params) const
         params.setOccupancyUsec(occupancyUs);
     if (window > 0)
         params.window = window;
-    if (fabricHosts > 0 || fabricLinkMBps > 0) {
-        params.fabric = true;
-        if (fabricHosts > 0)
-            params.fabricHostsPerSwitch = fabricHosts;
-        if (fabricLinkMBps > 0)
-            params.fabricLinkMBps = fabricLinkMBps;
-    }
     if (dropRate >= 0 || dupRate >= 0 || corruptRate >= 0 ||
         reorderRate >= 0) {
         params.fault.enabled = true;

@@ -27,10 +27,6 @@ struct Knobs
     double bulkMBps = -1;    ///< Available bulk bandwidth (Figure 8).
     double occupancyUs = -1; ///< Extension: rx-controller occupancy.
     int window = -1;         ///< Extension: flow-control window.
-    /** Extension: switch-fabric contention model (enables when either
-     *  field is set). */
-    int fabricHosts = -1;
-    double fabricLinkMBps = -1;
 
     // Lossy-fabric laboratory (net/fault.hh). Setting any rate >= 0
     // enables the fault model; `reliable` arms the retransmission

@@ -1,12 +1,15 @@
 /**
  * @file
- * A two-level fat-tree topology model for large (1024-node) clusters.
+ * The switch-contention model: a two-level fat-tree.
  *
- * Hosts attach to leaf switches (`hostsPerLeaf` each); leaves connect
- * to a spine through uplinks whose effective bandwidth is the edge
- * link rate divided by the oversubscription ratio. Same-leaf traffic
- * crosses only the leaf crossbar and sees no shared link. Cross-leaf
- * traffic pays, in order:
+ * The paper's cluster was ten 8-port Myrinet switches (160 MB/s per
+ * port), and the study treats the network as contention-free constant
+ * latency. This model lets the laboratory test that assumption, from
+ * 32 nodes up to 1024 and beyond. Hosts attach to leaf switches
+ * (`hostsPerLeaf` each); leaves connect to a spine through uplinks
+ * whose effective bandwidth is the edge link rate divided by the
+ * oversubscription ratio. Same-leaf traffic crosses only the leaf
+ * crossbar and sees no shared link. Cross-leaf traffic pays, in order:
  *
  *   - `hopLatency` extra wire latency (the additional switch hops),
  *   - queueing on the source leaf's uplink (modelled at send time, so
@@ -15,11 +18,11 @@
  *     packet reaches the leaf, so the state is owned by the receiving
  *     shard).
  *
- * Like SwitchFabric, only *queueing* is extra: the uncontended
- * traversal cost is already inside the baseline LogGP latency L, so an
- * idle fat-tree with hopLatency 0 is exactly the constant-latency
- * network. That split of link ownership between sender and receiver
- * shards is what lets the sharded engine run the model without locks.
+ * Only *queueing* is extra: the uncontended traversal cost is already
+ * inside the baseline LogGP latency L, so an idle fat-tree with
+ * hopLatency 0 is exactly the constant-latency network. That split of
+ * link ownership between sender and receiver shards is what lets the
+ * sharded engine run the model without locks.
  */
 
 #ifndef NOWCLUSTER_NET_TOPOLOGY_HH_

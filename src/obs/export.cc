@@ -1,9 +1,7 @@
 #include "obs/export.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <set>
 
 namespace nowcluster {
@@ -69,10 +67,11 @@ perfettoJson(const SpanTracer &tracer)
 
     for (const Span &s : tracer.spans()) {
         int tid = static_cast<int>(s.track);
-        // Clamp degenerate records: SpanTracer::span() never stores
-        // end < begin, but readBinaryTrace() trusts the file, and a
-        // negative "dur" makes a trace_event viewer reject the whole
-        // document. Clamped spans render as instant events.
+        // Clamp degenerate records: SpanTracer::span() keeps a
+        // Retransmit record whatever its end, so one can carry
+        // end < begin, and a negative "dur" makes a trace_event viewer
+        // reject the whole document. Clamped spans render as instant
+        // events.
         const Tick end = s.end < s.begin ? s.begin : s.end;
         if (end == s.begin) {
             // Zero-duration record (retransmit) -> instant event.
@@ -141,145 +140,6 @@ writePerfettoJson(const SpanTracer &tracer, const std::string &path)
     const std::string doc = perfettoJson(tracer);
     f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
     return f.good();
-}
-
-namespace {
-
-constexpr char kMagic[8] = {'N', 'O', 'W', 'O', 'B', 'S', '0', '1'};
-
-template <typename T>
-void
-put(std::string &out, T v)
-{
-    // Little-endian, field by field: the layout is explicit, not
-    // a struct memcpy, so it is stable across compilers.
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(static_cast<char>(
-            (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff));
-}
-
-template <typename T>
-bool
-get(const std::string &in, std::size_t &pos, T &v)
-{
-    if (pos + sizeof(T) > in.size())
-        return false;
-    std::uint64_t raw = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        raw |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(in[pos + i]))
-               << (8 * i);
-    v = static_cast<T>(raw);
-    pos += sizeof(T);
-    return true;
-}
-
-} // namespace
-
-bool
-writeBinaryTrace(const SpanTracer &tracer, const std::string &path)
-{
-    std::string out;
-    out.append(kMagic, sizeof(kMagic));
-    put<std::uint64_t>(out, tracer.spans().size());
-    put<std::uint64_t>(out, tracer.messages().size());
-    for (const Span &s : tracer.spans()) {
-        put<std::int64_t>(out, s.begin);
-        put<std::int64_t>(out, s.end);
-        put<std::int32_t>(out, s.node);
-        put<std::uint8_t>(out, static_cast<std::uint8_t>(s.track));
-        put<std::uint8_t>(out, static_cast<std::uint8_t>(s.cat));
-        put<std::uint8_t>(out, s.container ? 1 : 0);
-        put<std::uint64_t>(out, s.msg);
-    }
-    for (const ObsMessage &m : tracer.messages()) {
-        put<std::uint64_t>(out, m.id);
-        put<std::int32_t>(out, m.src);
-        put<std::int32_t>(out, m.dst);
-        put<std::int64_t>(out, m.issued);
-        put<std::int64_t>(out, m.inject);
-        put<std::int64_t>(out, m.wire);
-        put<std::int64_t>(out, m.ready);
-        put<std::int64_t>(out, m.wireLatency);
-        put<std::uint8_t>(out, m.kind);
-        put<std::uint8_t>(out, m.retx ? 1 : 0);
-        put<std::uint32_t>(out, m.bytes);
-    }
-
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        return false;
-    f.write(out.data(), static_cast<std::streamsize>(out.size()));
-    return f.good();
-}
-
-bool
-readBinaryTrace(SpanTracer &tracer, const std::string &path)
-{
-    tracer.clear();
-
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return false;
-    std::string in((std::istreambuf_iterator<char>(f)),
-                   std::istreambuf_iterator<char>());
-
-    std::size_t pos = 0;
-    if (in.size() < sizeof(kMagic) ||
-        std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0)
-        return false;
-    pos += sizeof(kMagic);
-
-    std::uint64_t nspans = 0, nmsgs = 0;
-    if (!get(in, pos, nspans) || !get(in, pos, nmsgs))
-        return false;
-    // Per-record sizes as written above; reject truncated files before
-    // allocating anything.
-    const std::size_t spanBytes = 8 + 8 + 4 + 1 + 1 + 1 + 8;
-    const std::size_t msgBytes = 8 + 4 + 4 + 8 * 5 + 1 + 1 + 4;
-    if (in.size() - pos != nspans * spanBytes + nmsgs * msgBytes)
-        return false;
-
-    std::uint64_t maxId = 0;
-    tracer.spans_.reserve(nspans);
-    for (std::uint64_t i = 0; i < nspans; ++i) {
-        Span s;
-        std::uint8_t track = 0, cat = 0, container = 0;
-        if (!get(in, pos, s.begin) || !get(in, pos, s.end) ||
-            !get(in, pos, s.node) || !get(in, pos, track) ||
-            !get(in, pos, cat) || !get(in, pos, container) ||
-            !get(in, pos, s.msg))
-            return false;
-        if (track >= kNumTrackKinds || cat >= kNumSpanCats) {
-            tracer.clear();
-            return false;
-        }
-        s.track = static_cast<TrackKind>(track);
-        s.cat = static_cast<SpanCat>(cat);
-        s.container = container != 0;
-        tracer.spans_.push_back(s);
-    }
-    tracer.msgs_.reserve(nmsgs);
-    for (std::uint64_t i = 0; i < nmsgs; ++i) {
-        ObsMessage m;
-        std::uint8_t retx = 0;
-        if (!get(in, pos, m.id) || !get(in, pos, m.src) ||
-            !get(in, pos, m.dst) || !get(in, pos, m.issued) ||
-            !get(in, pos, m.inject) || !get(in, pos, m.wire) ||
-            !get(in, pos, m.ready) || !get(in, pos, m.wireLatency) ||
-            !get(in, pos, m.kind) || !get(in, pos, retx) ||
-            !get(in, pos, m.bytes))
-            return false;
-        if (m.kind > 3) { // Largest PacketKind value (BulkFrag).
-            tracer.clear();
-            return false;
-        }
-        m.retx = retx != 0;
-        maxId = m.id > maxId ? m.id : maxId;
-        tracer.msgs_.push_back(m);
-    }
-    tracer.lastMsgId_ = maxId;
-    return true;
 }
 
 } // namespace nowcluster

@@ -206,8 +206,6 @@ class SpanTracer
     }
 
   private:
-    friend bool readBinaryTrace(SpanTracer &, const std::string &);
-
     std::vector<Span> spans_;
     std::vector<ObsMessage> msgs_;
     std::unordered_map<std::uint64_t, std::size_t> msgIndex_;

@@ -1,6 +1,8 @@
 #include "svc/service.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "svc/spec.hh"
 
@@ -36,6 +38,47 @@ stateName(int state)
     return "?";
 }
 
+/** Where one key of a submit's "knobs" object lands. A non-numeric
+ *  value leaves the knob unset (-1), like an absent key. */
+struct KnobField
+{
+    const char *key;
+    void (*set)(Knobs &, double);
+};
+
+const KnobField kKnobFields[] = {
+    {"overhead", [](Knobs &k, double v) { k.overheadUs = v; }},
+    {"gap", [](Knobs &k, double v) { k.gapUs = v; }},
+    {"latency", [](Knobs &k, double v) { k.latencyUs = v; }},
+    {"mbps", [](Knobs &k, double v) { k.bulkMBps = v; }},
+    {"occupancy", [](Knobs &k, double v) { k.occupancyUs = v; }},
+    {"window", [](Knobs &k, double v) { k.window = static_cast<int>(v); }},
+    {"drop", [](Knobs &k, double v) { k.dropRate = v; }},
+    {"dup", [](Knobs &k, double v) { k.dupRate = v; }},
+    {"corrupt", [](Knobs &k, double v) { k.corruptRate = v; }},
+    {"reorder", [](Knobs &k, double v) { k.reorderRate = v; }},
+    {"reorder-delay", [](Knobs &k, double v) { k.reorderMaxDelayUs = v; }},
+    {"fault-seed",
+     [](Knobs &k, double v) { k.faultSeed = static_cast<long>(v); }},
+    {"reliable",
+     [](Knobs &k, double v) { k.reliable = static_cast<int>(v); }},
+    {"rto", [](Knobs &k, double v) { k.retxTimeoutUs = v; }},
+    {"delay-node",
+     [](Knobs &k, double v) { k.delayNode = static_cast<long>(v); }},
+    {"delay-at", [](Knobs &k, double v) { k.delayAtUs = v; }},
+    {"delay-us", [](Knobs &k, double v) { k.delayUs = v; }},
+    {"topo", [](Knobs &k, double v) { k.topo = static_cast<int>(v); }},
+    {"topo-hosts",
+     [](Knobs &k, double v) { k.topoHosts = static_cast<int>(v); }},
+    {"topo-mbps", [](Knobs &k, double v) { k.topoLinkMBps = v; }},
+    {"topo-oversub", [](Knobs &k, double v) { k.topoOversub = v; }},
+    {"topo-hop", [](Knobs &k, double v) { k.topoHopUs = v; }},
+    {"sim-threads",
+     [](Knobs &k, double v) { k.simThreads = static_cast<int>(v); }},
+    {"sim-shards",
+     [](Knobs &k, double v) { k.simShards = static_cast<int>(v); }},
+};
+
 } // namespace
 
 std::string
@@ -46,8 +89,17 @@ errorReply(const std::string &error)
     return w.str();
 }
 
+std::vector<const char *>
+knobKeys()
+{
+    std::vector<const char *> keys;
+    for (const KnobField &f : kKnobFields)
+        keys.push_back(f.key);
+    return keys;
+}
+
 RunPoint
-pointOfRequest(const JsonValue &req)
+pointOfRequest(const JsonValue &req, std::string *complaint)
 {
     RunPoint pt;
     pt.app = req.stringOr("app", "");
@@ -69,33 +121,19 @@ pointOfRequest(const JsonValue &req)
         c.machine = MachineConfig::berkeleyNow();
 
     if (const JsonValue *k = req.find("knobs")) {
-        Knobs &kn = c.knobs;
-        kn.overheadUs = k->numberOr("overhead", -1);
-        kn.gapUs = k->numberOr("gap", -1);
-        kn.latencyUs = k->numberOr("latency", -1);
-        kn.bulkMBps = k->numberOr("mbps", -1);
-        kn.occupancyUs = k->numberOr("occupancy", -1);
-        kn.window = static_cast<int>(k->numberOr("window", -1));
-        kn.fabricHosts = static_cast<int>(k->numberOr("fabric-hosts", -1));
-        kn.fabricLinkMBps = k->numberOr("fabric-mbps", -1);
-        kn.dropRate = k->numberOr("drop", -1);
-        kn.dupRate = k->numberOr("dup", -1);
-        kn.corruptRate = k->numberOr("corrupt", -1);
-        kn.reorderRate = k->numberOr("reorder", -1);
-        kn.reorderMaxDelayUs = k->numberOr("reorder-delay", -1);
-        kn.faultSeed = static_cast<long>(k->numberOr("fault-seed", -1));
-        kn.reliable = static_cast<int>(k->numberOr("reliable", -1));
-        kn.retxTimeoutUs = k->numberOr("rto", -1);
-        kn.delayNode = static_cast<long>(k->numberOr("delay-node", -1));
-        kn.delayAtUs = k->numberOr("delay-at", -1);
-        kn.delayUs = k->numberOr("delay-us", -1);
-        kn.topo = static_cast<int>(k->numberOr("topo", -1));
-        kn.topoHosts = static_cast<int>(k->numberOr("topo-hosts", -1));
-        kn.topoLinkMBps = k->numberOr("topo-mbps", -1);
-        kn.topoOversub = k->numberOr("topo-oversub", -1);
-        kn.topoHopUs = k->numberOr("topo-hop", -1);
-        kn.simThreads = static_cast<int>(k->numberOr("sim-threads", -1));
-        kn.simShards = static_cast<int>(k->numberOr("sim-shards", -1));
+        for (const auto &member : k->object) {
+            const std::string &key = member.first;
+            const KnobField *f = std::find_if(
+                std::begin(kKnobFields), std::end(kKnobFields),
+                [&key](const KnobField &kf) { return key == kf.key; });
+            if (f == std::end(kKnobFields)) {
+                if (complaint)
+                    *complaint = "unknown knob '" + key + "'";
+                continue;
+            }
+            const JsonValue &v = member.second;
+            f->set(c.knobs, v.isNumber() ? v.number : -1);
+        }
     }
     // The result's provenance (0 = simulated, 1 = analytic), part of
     // the canonical spec a stored result is keyed by.
@@ -214,8 +252,10 @@ ServiceCore::handleLine(const std::string &line)
 std::string
 ServiceCore::handleSubmit(const JsonValue &req)
 {
-    RunPoint pt = pointOfRequest(req);
-    std::string complaint = validateSpec(pt);
+    std::string complaint;
+    RunPoint pt = pointOfRequest(req, &complaint);
+    if (complaint.empty())
+        complaint = validateSpec(pt);
     if (!complaint.empty()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++reqBad_;

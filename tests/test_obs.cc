@@ -9,9 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "am/cluster.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
@@ -212,78 +209,6 @@ TEST(Export, PerfettoJsonNamesEveryTrack)
     EXPECT_NE(json.find("o_send"), std::string::npos);
     EXPECT_NE(json.find("o_recv"), std::string::npos);
 }
-
-TEST(Export, BinaryRoundTripPreservesEverything)
-{
-    const std::string path = "/tmp/nowcluster_obs_rt.bin";
-    SpanTracer tracer;
-    pingPong(4, &tracer);
-    ASSERT_TRUE(writeBinaryTrace(tracer, path));
-
-    SpanTracer back;
-    ASSERT_TRUE(readBinaryTrace(back, path));
-    ASSERT_EQ(back.spans().size(), tracer.spans().size());
-    ASSERT_EQ(back.messages().size(), tracer.messages().size());
-    for (std::size_t i = 0; i < tracer.spans().size(); ++i) {
-        const Span &a = tracer.spans()[i], &b = back.spans()[i];
-        EXPECT_EQ(a.begin, b.begin);
-        EXPECT_EQ(a.end, b.end);
-        EXPECT_EQ(a.node, b.node);
-        EXPECT_EQ(a.track, b.track);
-        EXPECT_EQ(a.cat, b.cat);
-        EXPECT_EQ(a.container, b.container);
-        EXPECT_EQ(a.msg, b.msg);
-    }
-    for (std::size_t i = 0; i < tracer.messages().size(); ++i) {
-        const ObsMessage &a = tracer.messages()[i];
-        const ObsMessage &b = back.messages()[i];
-        EXPECT_EQ(a.id, b.id);
-        EXPECT_EQ(a.issued, b.issued);
-        EXPECT_EQ(a.ready, b.ready);
-        EXPECT_EQ(a.kind, b.kind);
-        EXPECT_EQ(a.bytes, b.bytes);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Export, CorruptBinaryTracesAreRejected)
-{
-    const std::string path = "/tmp/nowcluster_obs_corrupt.bin";
-    SpanTracer tracer;
-    pingPong(2, &tracer);
-    ASSERT_TRUE(writeBinaryTrace(tracer, path));
-
-    // Read the good bytes back so each corruption starts clean.
-    std::ifstream f(path, std::ios::binary);
-    std::string good((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
-    f.close();
-
-    auto writeAndExpectReject = [&](std::string bytes) {
-        std::ofstream o(path, std::ios::binary);
-        o.write(bytes.data(),
-                static_cast<std::streamsize>(bytes.size()));
-        o.close();
-        SpanTracer t;
-        EXPECT_FALSE(readBinaryTrace(t, path));
-        EXPECT_TRUE(t.spans().empty());
-        EXPECT_TRUE(t.messages().empty());
-    };
-
-    writeAndExpectReject("");                         // Empty file.
-    writeAndExpectReject("NOTATRACE");                // Bad magic.
-    writeAndExpectReject(good.substr(0, good.size() - 3)); // Truncated.
-    {
-        std::string bad = good;
-        bad[8 + 8 + 8 + 8 + 8 + 4] = 77; // First span's track byte.
-        writeAndExpectReject(bad);
-    }
-    std::remove(path.c_str());
-}
-
-// ----------------------------------------------------------------------
-// Critical-path analyzer.
-// ----------------------------------------------------------------------
 
 TEST(CritPath, PingPongPathCrossesTheWireEveryRound)
 {
@@ -590,10 +515,9 @@ TEST(Wavefront, ExportSynthesizesIdleWaveSpansWhereExcessAccrues)
 
 TEST(Export, MalformedSpanDurationsAreClampedNotEmitted)
 {
-    // Only Retransmit records may be zero length, and a trace file
-    // (readBinaryTrace trusts timestamps) can carry end < begin; both
-    // must clamp to instant events -- a negative "dur" makes Perfetto
-    // reject the whole document.
+    // Only Retransmit records may be zero length, and span() keeps
+    // them even with end < begin; both must clamp to instant events --
+    // a negative "dur" makes Perfetto reject the whole document.
     SpanTracer t;
     t.span(0, TrackKind::Cpu, SpanCat::Retransmit, usec(10), usec(4));
     t.span(0, TrackKind::Cpu, SpanCat::Retransmit, usec(7), usec(7));

@@ -656,12 +656,25 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
              "\"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
              "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\","
              "\"payload\":\"00\"}",
+             // A removed knob and a misspelled one: refused by name,
+             // never simulated as the constant-latency baseline.
+             "{\"op\":\"submit\",\"app\":\"radix\","
+             "\"knobs\":{\"fabric-hosts\":4}}",
+             "{\"op\":\"submit\",\"app\":\"radix\","
+             "\"knobs\":{\"latncy\":55}}",
          }) {
         svc::JsonValue v = parsed(core.handleLine(line));
         EXPECT_FALSE(v.boolOr("ok", true)) << line;
+        for (const char *knob : {"fabric-hosts", "latncy"}) {
+            if (std::strstr(line, knob)) {
+                EXPECT_NE(v.stringOr("error", "").find(knob),
+                          std::string::npos)
+                    << line;
+            }
+        }
     }
     svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
-    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 9);
+    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 11);
 }
 
 TEST(ServiceCore, FullQueueAnswersBusyWithRetryHint)

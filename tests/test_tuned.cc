@@ -343,6 +343,20 @@ TEST(CollCost, LogPBroadcastNeverPredictedSlowerThanBinomial)
     }
 }
 
+TEST(CollCost, MeikoSmallBroadcastPicksLogP)
+{
+    // On the Meiko the send interval (g = 13.6 us) exceeds one
+    // message's end-to-end time, so a binomial holder's later sends
+    // wait on it. The model must charge that wait: LogP then predicts
+    // faster, as it measures (84.4 vs 87.1 us at P = 4).
+    const LogGPPoint pt = pointFromParams(MachineConfig::meikoCs2().params);
+    for (int p : {4, 8, 16}) {
+        EXPECT_EQ(chooseAlg(pt, Coll::Broadcast, p, 256), CollAlg::BcastLogP)
+            << "p=" << p << " picked "
+            << algName(chooseAlg(pt, Coll::Broadcast, p, 256));
+    }
+}
+
 TEST(CollCost, DecisionTableCoversGridAndRenders)
 {
     const LogGPPoint pt = pointFromParams(baseline());

@@ -11,7 +11,7 @@
  *                [--jobs J]
  *   nowlab perf [--app A] [--points K] [--jobs J] [--events N]
  *               [--out FILE]
- *   nowlab trace <app> [--out F.json] [--bin F] [knobs]
+ *   nowlab trace <app> [--out F.json] [knobs]
  *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
  *                    [--threshold F] [--out F.json] [knobs]
  *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
@@ -653,21 +653,13 @@ submitRequestOf(const Args &a)
     if (a.flags.count("no-validate"))
         w.field("validate", false);
 
-    static const char *kKnobKeys[] = {
-        "overhead", "gap",     "latency",       "mbps",
-        "occupancy", "window", "fabric-hosts",  "fabric-mbps",
-        "drop",      "dup",    "corrupt",       "reorder",
-        "reorder-delay", "fault-seed", "reliable", "rto",
-        "delay-node", "delay-at", "delay-us",
-        "topo",      "topo-hosts", "topo-mbps", "topo-oversub",
-        "topo-hop",  "sim-threads", "sim-shards",
-    };
+    const std::vector<const char *> knob_keys = svc::knobKeys();
     bool any = a.flags.count("topo") != 0;
-    for (const char *k : kKnobKeys)
+    for (const char *k : knob_keys)
         any = any || a.options.count(k);
     if (any) {
         w.beginObject("knobs");
-        for (const char *k : kKnobKeys) {
+        for (const char *k : knob_keys) {
             if (a.options.count(k))
                 w.field(k, optDouble(a, k, -1));
         }
@@ -1348,15 +1340,16 @@ cmdPerf(const Args &a)
  * `nowlab trace <app>`: run one application with the span tracer
  * attached, print the LogGP critical-path decomposition and the metrics
  * snapshot, and optionally export the timeline as Perfetto JSON
- * (--out, loadable in ui.perfetto.dev / chrome://tracing) and/or the
- * compact binary form (--bin; obs/export.hh reads it back).
+ * (--out, loadable in ui.perfetto.dev / chrome://tracing).
  */
 int
 cmdTrace(const Args &a)
 {
     if (a.positional.size() < 2)
-        fatal("usage: nowlab trace <app> [--out F.json] [--bin F] "
-              "[options]");
+        fatal("usage: nowlab trace <app> [--out F.json] [options]");
+    fatal_if(a.flags.count("bin") || a.options.count("bin"),
+             "trace --bin: the binary trace format was removed; export "
+             "Perfetto JSON with --out F.json");
     std::string key = a.positional[1];
     RunConfig c = configOf(a);
 
@@ -1392,13 +1385,6 @@ cmdTrace(const Args &a)
                         out->second.c_str());
         else
             warn("could not write %s", out->second.c_str());
-    }
-    auto bin = a.options.find("bin");
-    if (bin != a.options.end()) {
-        if (writeBinaryTrace(tracer, bin->second))
-            std::printf("wrote %s\n", bin->second.c_str());
-        else
-            warn("could not write %s", bin->second.c_str());
     }
     return r.ok ? 0 : 1;
 }
@@ -1787,6 +1773,13 @@ main(int argc, char **argv)
     // kill the process (covers submit/get/stats and serve alike).
     std::signal(SIGPIPE, SIG_IGN);
     Args a = parseArgs(argc, argv);
+    for (const char *retired : {"fabric-hosts", "fabric-mbps"}) {
+        fatal_if(a.flags.count(retired) || a.options.count(retired),
+                 "--%s: the flat switch fabric was removed; model switch "
+                 "contention with the fat-tree: --topo --topo-hosts N "
+                 "--topo-mbps M --topo-oversub 1",
+                 retired);
+    }
     if (a.positional.empty()) {
         std::printf(
             "nowlab -- the LogGP cluster laboratory\n"
@@ -1800,7 +1793,7 @@ main(int argc, char **argv)
             "             [--backend sim|analytic|cache] [...]\n"
             "  nowlab perf [--app A] [--points K] [--jobs J]\n"
             "             [--events N] [--out FILE]\n"
-            "  nowlab trace <app> [--out F.json] [--bin F] [--procs N]\n"
+            "  nowlab trace <app> [--out F.json] [--procs N]\n"
             "             [--scale S] [knobs]\n"
             "  nowlab wavefront <app> [--node N] [--at US]\n"
             "             [--delays a,b,c] [--threshold F]\n"
