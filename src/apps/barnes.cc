@@ -87,6 +87,42 @@ BarnesApp::fetchFresh(SplitC &sc, std::int64_t ref)
     return c;
 }
 
+BarnesApp::CellCache::CellCache()
+    : tags_(kCacheSlots, -1), index_(kCacheSlots, -1)
+{
+}
+
+std::size_t
+BarnesApp::CellCache::slotOf(std::int64_t ref)
+{
+    return static_cast<std::size_t>(
+               (static_cast<std::uint64_t>(ref) * 0x9e3779b97f4a7c15ULL) >>
+               40) %
+           kCacheSlots;
+}
+
+void
+BarnesApp::CellCache::reset()
+{
+    std::fill(tags_.begin(), tags_.end(), -1);
+    std::fill(index_.begin(), index_.end(), -1);
+    lines_.clear();
+}
+
+const BarnesApp::Cell &
+BarnesApp::CellCache::put(std::int64_t ref, const Cell &c)
+{
+    const std::size_t slot = slotOf(ref);
+    tags_[slot] = ref;
+    if (index_[slot] < 0) {
+        index_[slot] = static_cast<std::int32_t>(lines_.size());
+        lines_.push_back(c);
+    } else {
+        lines_[static_cast<std::size_t>(index_[slot])] = c;
+    }
+    return lines_[static_cast<std::size_t>(index_[slot])];
+}
+
 BarnesApp::Cell
 BarnesApp::fetchCached(SplitC &sc, std::int64_t ref, CellCache &cache)
 {
@@ -94,15 +130,10 @@ BarnesApp::fetchCached(SplitC &sc, std::int64_t ref, CellCache &cache)
         sc.compute(kCacheHit);
         return nodes_[sc.myProc()].pool[refIdx(ref)];
     }
-    std::size_t slot = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(ref) * 0x9e3779b97f4a7c15ULL) >>
-        40) % cache.size();
-    if (cache[slot].first != ref) {
-        cache[slot] = {ref, fetchFresh(sc, ref)};
-    } else {
-        sc.compute(kCacheHit);
-    }
-    return cache[slot].second;
+    if (!cache.hit(ref))
+        return cache.put(ref, fetchFresh(sc, ref));
+    sc.compute(kCacheHit);
+    return cache.at(ref);
 }
 
 std::int64_t
@@ -178,12 +209,8 @@ BarnesApp::insertBody(SplitC &sc, int body_idx, CellCache &cache)
 
     auto fresh_and_cache = [&](std::int64_t ref) {
         Cell c = fetchFresh(sc, ref);
-        if (refProc(ref) != me) {
-            std::size_t slot = static_cast<std::size_t>(
-                (static_cast<std::uint64_t>(ref) *
-                 0x9e3779b97f4a7c15ULL) >> 40) % cache.size();
-            cache[slot] = {ref, c};
-        }
+        if (refProc(ref) != me)
+            cache.put(ref, c);
         return c;
     };
     auto lock_of = [&](std::int64_t ref) {
@@ -434,7 +461,7 @@ BarnesApp::run(SplitC &sc)
         sc.barrier();
 
         // ---- Cooperative tree build (blocking locks) -----------------
-        cache.assign(kCacheSlots, {-1, Cell{}});
+        cache.reset();
         for (int i = 0; i < bodiesPerProc_; ++i)
             insertBody(sc, i, cache);
         sc.barrier();
@@ -449,7 +476,7 @@ BarnesApp::run(SplitC &sc)
         sc.barrier();
 
         // ---- Force computation with software-cached cells ------------
-        cache.assign(kCacheSlots, {-1, Cell{}});
+        cache.reset();
         std::vector<std::array<double, 3>> accs(self.bodies.size());
         for (std::size_t i = 0; i < self.bodies.size(); ++i) {
             double a[3];

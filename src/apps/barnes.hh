@@ -6,7 +6,10 @@
  * machine, synchronizing updates through blocking locks (the failed
  * lock attempts are the paper's livelock metric). During the force
  * phase, remote cells are replicated through a fixed-size
- * software-managed cache (bulk reads).
+ * software-managed cache (bulk reads): direct-mapped over 4096 slots
+ * with evict-on-conflict. The cache keeps a tag for every slot but
+ * stores a cell only for the slots that were filled, so a processor
+ * pays for the few slots it touches rather than for the capacity.
  */
 
 #ifndef NOWCLUSTER_APPS_BARNES_HH_
@@ -48,6 +51,49 @@ class BarnesApp : public App
     };
     static_assert(std::is_trivially_copyable_v<Cell>);
 
+    /**
+     * Per-processor software cache of remote cells: direct-mapped over
+     * kCacheSlots slots by a multiplicative hash of the reference, one
+     * line per slot, evict on conflict. Tags and line indices exist for
+     * every slot; lines are stored densely, only for slots that were
+     * ever filled since the last reset().
+     */
+    class CellCache
+    {
+      public:
+        CellCache();
+
+        /** The slot a cell reference maps to. */
+        static std::size_t slotOf(std::int64_t ref);
+
+        /** Forget every tag and drop the lines (keeps their capacity). */
+        void reset();
+
+        /** True when ref's slot currently holds ref. */
+        bool hit(std::int64_t ref) const
+        {
+            return tags_[slotOf(ref)] == ref;
+        }
+
+        /** Fill ref's slot with c, evicting what it held. */
+        const Cell &put(std::int64_t ref, const Cell &c);
+
+        /** The cached copy of ref; valid only while hit(ref). */
+        const Cell &at(std::int64_t ref) const
+        {
+            return lines_[static_cast<std::size_t>(
+                index_[slotOf(ref)])];
+        }
+
+        /** Lines stored: one per distinct slot filled since reset(). */
+        std::size_t lines() const { return lines_.size(); }
+
+      private:
+        std::vector<std::int64_t> tags_;  ///< Per slot; -1 empty.
+        std::vector<std::int32_t> index_; ///< Per slot line; -1 none.
+        std::vector<Cell> lines_;
+    };
+
   private:
     struct NodeState
     {
@@ -75,8 +121,6 @@ class BarnesApp : public App
     {
         return r & ((1LL << 40) - 1);
     }
-
-    using CellCache = std::vector<std::pair<std::int64_t, Cell>>;
 
     /** Read a cell fresh from its owner (bypasses the cache). */
     Cell fetchFresh(SplitC &sc, std::int64_t ref);

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "apps/app.hh"
+#include "apps/barnes.hh"
 #include "harness/experiment.hh"
 #include "model/models.hh"
 #include "stats/trace.hh"
@@ -174,6 +177,88 @@ TEST(Apps, BarnesCountsLockTraffic)
     RunResult r = runApp("barnes", smallConfig(8, 0.25));
     ASSERT_TRUE(r.ok);
     EXPECT_GT(r.summary.lockAcquires, 0u);
+}
+
+// Barnes' software cell cache, driven directly.
+using CellCache = BarnesApp::CellCache;
+
+BarnesApp::Cell
+cellWithMass(double mass)
+{
+    BarnesApp::Cell c{};
+    c.mass = mass;
+    return c;
+}
+
+/** The first reference after `ref` that maps to the same slot. */
+std::int64_t
+conflictingRef(std::int64_t ref)
+{
+    for (std::int64_t r = ref + 1;; ++r) {
+        if (CellCache::slotOf(r) == CellCache::slotOf(ref))
+            return r;
+    }
+}
+
+TEST(BarnesCellCache, MissThenPutThenHits)
+{
+    CellCache cache;
+    const std::int64_t ref = (std::int64_t{3} << 40) | 17;
+    EXPECT_FALSE(cache.hit(ref));
+    EXPECT_EQ(cache.put(ref, cellWithMass(2.5)).mass, 2.5);
+    ASSERT_TRUE(cache.hit(ref));
+    EXPECT_EQ(cache.at(ref).mass, 2.5);
+    EXPECT_EQ(cache.lines(), 1u);
+}
+
+TEST(BarnesCellCache, ConflictEvictsTheLine)
+{
+    CellCache cache;
+    const std::int64_t a = (std::int64_t{1} << 40) | 5;
+    const std::int64_t b = conflictingRef(a);
+    cache.put(a, cellWithMass(1));
+    cache.put(b, cellWithMass(2));
+    EXPECT_FALSE(cache.hit(a));
+    ASSERT_TRUE(cache.hit(b));
+    EXPECT_EQ(cache.at(b).mass, 2);
+    EXPECT_EQ(cache.lines(), 1u) << "one slot holds one line";
+    cache.put(a, cellWithMass(3));
+    EXPECT_FALSE(cache.hit(b));
+    EXPECT_EQ(cache.at(a).mass, 3);
+}
+
+TEST(BarnesCellCache, ResetForgetsEveryTag)
+{
+    CellCache cache;
+    std::vector<std::int64_t> refs;
+    for (std::int64_t i = 0; i < 64; ++i)
+        refs.push_back((std::int64_t{2} << 40) | (i * 7));
+    for (std::int64_t r : refs)
+        cache.put(r, cellWithMass(static_cast<double>(r)));
+    cache.reset();
+    EXPECT_EQ(cache.lines(), 0u);
+    for (std::int64_t r : refs)
+        EXPECT_FALSE(cache.hit(r)) << "ref " << r;
+    // Refilled after a reset, a slot serves the new line.
+    cache.put(refs[0], cellWithMass(-1));
+    EXPECT_EQ(cache.at(refs[0]).mass, -1);
+    EXPECT_EQ(cache.lines(), 1u);
+}
+
+TEST(BarnesCellCache, StoresAtMostOneLinePerSlotFilled)
+{
+    CellCache cache;
+    std::set<std::size_t> slots;
+    for (int proc = 0; proc < 32; ++proc) {
+        for (std::int64_t idx = 0; idx < 400; idx += 3) {
+            const std::int64_t ref =
+                (static_cast<std::int64_t>(proc) << 40) | idx;
+            cache.put(ref, cellWithMass(1));
+            slots.insert(CellCache::slotOf(ref));
+            ASSERT_LE(cache.lines(), slots.size());
+        }
+    }
+    EXPECT_EQ(cache.lines(), slots.size());
 }
 
 TEST(Apps, MurphiLargerProtocolMeansMoreStates)

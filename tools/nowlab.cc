@@ -40,6 +40,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -562,13 +563,6 @@ splitCsv(const std::string &s)
 int
 cmdServe(const Args &a)
 {
-    for (const char *retired : {"coordinator", "workers", "replicas",
-                                "heartbeat-ms", "rpc-timeout-ms"}) {
-        fatal_if(a.flags.count(retired) || a.options.count(retired),
-                 "serve --%s: the nowlabd fleet was removed; run one "
-                 "nowlabd (`nowlab serve`)",
-                 retired);
-    }
     svc::ServiceConfig cfg;
     cfg.jobs = static_cast<int>(optLong(a, "jobs", 0));
     cfg.maxQueue =
@@ -1347,9 +1341,6 @@ cmdTrace(const Args &a)
 {
     if (a.positional.size() < 2)
         fatal("usage: nowlab trace <app> [--out F.json] [options]");
-    fatal_if(a.flags.count("bin") || a.options.count("bin"),
-             "trace --bin: the binary trace format was removed; export "
-             "Perfetto JSON with --out F.json");
     std::string key = a.positional[1];
     RunConfig c = configOf(a);
 
@@ -1764,6 +1755,136 @@ cmdBackend(const Args &a)
     return pass ? 0 : 1;
 }
 
+/** A command and every flag it reads. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    /** Flags read besides the shared knob keys. */
+    std::vector<const char *> flags;
+    /** Whether it reads the shared knob keys (svc::knobKeys()). */
+    bool knobs;
+};
+
+/** What configOf reads besides the knob keys. */
+std::vector<const char *>
+withConfig(std::vector<const char *> flags)
+{
+    flags.insert(flags.end(),
+                 {"procs", "scale", "seed", "machine", "coll-alg"});
+    return flags;
+}
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> kCommands = {
+        {"list", [](const Args &) { return cmdList(); }, {}, false},
+        {"calibrate", cmdCalibrate, {"machine", "coll-alg"}, true},
+        {"run", cmdRun, withConfig({"trace", "matrix", "pgm"}), true},
+        {"sweep", cmdSweep,
+         withConfig({"knob", "values", "jobs", "backend", "cache-dir"}),
+         true},
+        {"perf", cmdPerf,
+         withConfig({"app", "events", "jobs", "points", "sim-procs",
+                     "sim-scale", "out"}),
+         true},
+        {"trace", cmdTrace, withConfig({"out"}), true},
+        {"wavefront", cmdWavefront,
+         withConfig({"node", "at", "delays", "threshold", "out"}), true},
+        {"serve", cmdServe,
+         {"port", "jobs", "queue", "cache-dir", "cache-only", "backend",
+          "drift-tolerance"},
+         false},
+        {"submit", cmdSubmit,
+         {"procs", "scale", "seed", "machine", "max-ms", "no-validate",
+          "host", "port", "wait", "max-retries"},
+         true},
+        {"get", cmdGet, withConfig({"id", "host", "port", "cache-dir"}),
+         true},
+        {"stats", cmdStats, {"host", "port", "shutdown"}, false},
+        {"storm", cmdStorm,
+         {"host", "port", "conns", "ops", "app", "procs", "scale", "seed",
+          "seeds", "backend", "out"},
+         false},
+        {"coll", cmdColl,
+         {"machine", "machines", "coll-alg", "procs", "sizes",
+          "tolerance", "min-hit", "out"},
+         true},
+        {"backend", cmdBackend,
+         {"apps", "procs", "scale", "tolerance", "out"}, false},
+    };
+    return kCommands;
+}
+
+/** A removed flag, refused with what replaced it; a null command
+ *  means every command. */
+struct RetiredFlag
+{
+    const char *cmd;
+    const char *flag;
+    const char *why;
+};
+
+const char kNoFabric[] =
+    "the flat switch fabric was removed; model switch contention with "
+    "the fat-tree: --topo --topo-hosts N --topo-mbps M --topo-oversub 1";
+const char kNoFleet[] =
+    "the nowlabd fleet was removed; run one nowlabd (`nowlab serve`)";
+
+const RetiredFlag kRetiredFlags[] = {
+    {nullptr, "fabric-hosts", kNoFabric},
+    {nullptr, "fabric-mbps", kNoFabric},
+    {"serve", "coordinator", kNoFleet},
+    {"serve", "workers", kNoFleet},
+    {"serve", "replicas", kNoFleet},
+    {"serve", "heartbeat-ms", kNoFleet},
+    {"serve", "rpc-timeout-ms", kNoFleet},
+    {"trace", "bin",
+     "the binary trace format was removed; export Perfetto JSON with "
+     "--out F.json"},
+};
+
+/** Refuse the retired flags that apply to `cmd` (null: the global ones). */
+void
+refuseRetiredFlags(const Args &a, const char *cmd)
+{
+    for (const RetiredFlag &r : kRetiredFlags) {
+        const bool applies =
+            cmd ? r.cmd && std::strcmp(r.cmd, cmd) == 0 : !r.cmd;
+        const bool given = a.flags.count(r.flag) || a.options.count(r.flag);
+        if (!applies || !given)
+            continue;
+        if (r.cmd)
+            fatal("%s --%s: %s", r.cmd, r.flag, r.why);
+        fatal("--%s: %s", r.flag, r.why);
+    }
+}
+
+/**
+ * Refuse any flag the command does not read, before it does any work:
+ * a misspelled knob (`--latncy 55`) must be a diagnostic, not a silent
+ * baseline run.
+ */
+void
+refuseUnknownFlags(const Args &a, const Command &c)
+{
+    std::set<std::string> known(c.flags.begin(), c.flags.end());
+    if (c.knobs) {
+        for (const char *k : svc::knobKeys())
+            known.insert(k);
+    }
+    auto check = [&](const std::string &key) {
+        fatal_if(!known.count(key),
+                 "nowlab %s: unknown flag --%s (run `nowlab` for usage)",
+                 c.name, key.c_str());
+    };
+    for (const auto &kv : a.options)
+        check(kv.first);
+    for (const auto &kv : a.flags)
+        check(kv.first);
+}
+
 } // namespace
 
 int
@@ -1773,13 +1894,7 @@ main(int argc, char **argv)
     // kill the process (covers submit/get/stats and serve alike).
     std::signal(SIGPIPE, SIG_IGN);
     Args a = parseArgs(argc, argv);
-    for (const char *retired : {"fabric-hosts", "fabric-mbps"}) {
-        fatal_if(a.flags.count(retired) || a.options.count(retired),
-                 "--%s: the flat switch fabric was removed; model switch "
-                 "contention with the fat-tree: --topo --topo-hosts N "
-                 "--topo-mbps M --topo-oversub 1",
-                 retired);
-    }
+    refuseRetiredFlags(a, nullptr);
     if (a.positional.empty()) {
         std::printf(
             "nowlab -- the LogGP cluster laboratory\n"
@@ -1816,7 +1931,7 @@ main(int argc, char **argv)
             "             [--out BENCH_coll.json]\n"
             "  nowlab backend validate [--apps A,B] [--procs N]\n"
             "             [--scale S] [--tolerance F] [--out F]\n"
-            "sweep/run also honour --cache-dir D / NOW_CACHE_DIR: the\n"
+            "sweep also honours --cache-dir D / NOW_CACHE_DIR: the\n"
             "content-addressed result store serves repeated points.\n"
             "knobs: --overhead US --gap US --latency US --mbps B\n"
             "       --occupancy US --window N\n"
@@ -1842,33 +1957,12 @@ main(int argc, char **argv)
         return 0;
     }
     const std::string &cmd = a.positional[0];
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "calibrate")
-        return cmdCalibrate(a);
-    if (cmd == "run")
-        return cmdRun(a);
-    if (cmd == "sweep")
-        return cmdSweep(a);
-    if (cmd == "perf")
-        return cmdPerf(a);
-    if (cmd == "trace")
-        return cmdTrace(a);
-    if (cmd == "wavefront")
-        return cmdWavefront(a);
-    if (cmd == "serve")
-        return cmdServe(a);
-    if (cmd == "submit")
-        return cmdSubmit(a);
-    if (cmd == "get")
-        return cmdGet(a);
-    if (cmd == "stats")
-        return cmdStats(a);
-    if (cmd == "storm")
-        return cmdStorm(a);
-    if (cmd == "coll")
-        return cmdColl(a);
-    if (cmd == "backend")
-        return cmdBackend(a);
+    for (const Command &c : commands()) {
+        if (cmd != c.name)
+            continue;
+        refuseRetiredFlags(a, c.name);
+        refuseUnknownFlags(a, c);
+        return c.run(a);
+    }
     fatal("unknown command '%s'", cmd.c_str());
 }
