@@ -8,56 +8,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "base/bytes.hh"
 #include "base/logging.hh"
 
 namespace nowcluster::backend {
 
 namespace {
-
-/** %.17g rendering so model keys never alias distinct doubles. */
-void
-putD(std::string &out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g|", v);
-    out += buf;
-}
-
-void
-putI(std::string &out, long long v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld|", v);
-    out += buf;
-}
-
-/**
- * The model identity of a point: everything that shapes the traced
- * base run *except* the four swept LogGP knobs (overhead, gap,
- * latency, bulk bandwidth), which the LP re-times, and the run budget,
- * which no longer bounds a solved LP. Two points differing only in
- * swept knobs share one model; anything else forces its own trace.
- */
-std::string
-modelKeyOf(const RunPoint &pt)
-{
-    const RunConfig &c = pt.config;
-    const Knobs &k = c.knobs;
-    std::string out = pt.app + "|" + c.machine.name + "|";
-    putI(out, c.nprocs);
-    putD(out, c.scale);
-    putI(out, static_cast<long long>(c.seed));
-    putD(out, k.occupancyUs);
-    putI(out, k.window);
-    putI(out, k.topo);
-    putI(out, k.topoHosts);
-    putD(out, k.topoLinkMBps);
-    putD(out, k.topoOversub);
-    putD(out, k.topoHopUs);
-    putI(out, k.simShards);
-    out += (!k.collAlg.empty() ? k.collAlg : envConfig().collAlg) + "|";
-    return out;
-}
 
 /** The base point a model is traced at: the swept knobs cleared back
  *  to the machine baseline, validation off (the traced run's output
@@ -75,13 +31,26 @@ basePointOf(const RunPoint &pt)
     return base;
 }
 
-/** The LogGP parameters a config resolves to, the way runApp does. */
-LogGPParams
-resolvedParams(const RunConfig &c)
+/**
+ * The model identity of a point: the app, machine, size and seed plus
+ * every parameter of the traced base run (basePointOf), as the run
+ * resolves them. The four swept LogGP knobs (overhead, gap, latency,
+ * bulk bandwidth), which the LP re-times, and the run budget, which no
+ * longer bounds a solved LP, are left out, so two points differing
+ * only in those share one model; anything else forces its own trace.
+ */
+std::string
+modelKeyOf(const RunPoint &pt)
 {
-    LogGPParams p = c.machine.params;
-    c.knobs.applyTo(p);
-    return p;
+    const RunConfig &c = pt.config;
+    std::string out;
+    putStr(out, pt.app);
+    putStr(out, c.machine.name);
+    putU32(out, static_cast<std::uint32_t>(c.nprocs));
+    putDouble(out, c.scale);
+    putU64(out, c.seed);
+    putParams(out, resolvedParams(basePointOf(pt).config));
+    return out;
 }
 
 } // namespace
@@ -189,17 +158,16 @@ CacheBackend::run(const RunPoint &pt)
 std::string
 AnalyticBackend::canServe(const RunPoint &pt)
 {
-    const RunConfig &c = pt.config;
-    const Knobs &k = c.knobs;
-    if (c.obs)
+    if (pt.config.obs)
         return "trace sinks need a real simulation";
-    if (k.dropRate >= 0 || k.dupRate >= 0 || k.corruptRate >= 0 ||
-        k.reorderRate >= 0 || c.machine.params.fault.enabled)
-        return "fault injection is stochastic per parameter point";
-    if (k.reliable == 1 || c.machine.params.reliable)
-        return "retransmission schedules do not re-time linearly";
-    if (k.delayNode >= 0 || !c.machine.params.fault.delays.empty())
+    const LogGPParams p = resolvedParams(pt.config);
+    // Scripted delays switch the fault model on too: name them first.
+    if (!p.fault.delays.empty())
         return "one-off delay injection needs a real simulation";
+    if (p.fault.enabled)
+        return "fault injection is stochastic per parameter point";
+    if (p.reliable)
+        return "retransmission schedules do not re-time linearly";
 
     // A model already built but poisoned by probe drift refuses
     // loudly so the caller falls back to sim instead of trusting it.

@@ -11,13 +11,13 @@ namespace coll {
 
 namespace {
 
-/** "bcast=chain" -> pin the broadcast algorithm. */
-void
+/** "bcast=chain" -> pin the broadcast algorithm; "" or the complaint. */
+std::string
 applyToken(CollPolicy &policy, const std::string &token)
 {
     const auto eq = token.find('=');
-    fatal_if(eq == std::string::npos,
-             "bad --coll-alg token '%s' (want coll=alg)", token.c_str());
+    if (eq == std::string::npos)
+        return "bad --coll-alg token '" + token + "' (want coll=alg)";
     const std::string coll_name = token.substr(0, eq);
     const std::string alg_name = token.substr(eq + 1);
     for (int c = 0; c < kNumColls; ++c) {
@@ -25,19 +25,19 @@ applyToken(CollPolicy &policy, const std::string &token)
         if (coll_name != collName(coll))
             continue;
         CollAlg alg;
-        fatal_if(!algFromName(coll, alg_name, alg),
-                 "unknown %s algorithm '%s'", coll_name.c_str(),
-                 alg_name.c_str());
+        if (!algFromName(coll, alg_name, alg))
+            return "unknown " + coll_name + " algorithm '" + alg_name +
+                   "'";
         policy.forced[c] = alg;
-        return;
+        return "";
     }
-    fatal("unknown collective '%s' in --coll-alg", coll_name.c_str());
+    return "unknown collective '" + coll_name + "' in --coll-alg";
 }
 
 } // namespace
 
 CollPolicy
-CollPolicy::parse(const std::string &spec)
+CollPolicy::parse(const std::string &spec, std::string *err)
 {
     CollPolicy policy;
     if (spec.empty() || spec == "naive")
@@ -51,8 +51,14 @@ CollPolicy::parse(const std::string &spec)
         if (comma == std::string::npos)
             comma = spec.size();
         const std::string token = spec.substr(start, comma - start);
-        if (!token.empty() && token != "tuned")
-            applyToken(policy, token);
+        if (!token.empty() && token != "tuned") {
+            const std::string why = applyToken(policy, token);
+            if (!why.empty()) {
+                fatal_if(!err, "%s", why.c_str());
+                *err = why;
+                return policy;
+            }
+        }
         start = comma + 1;
     }
     return policy;

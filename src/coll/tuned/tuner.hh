@@ -43,8 +43,10 @@ struct CollPolicy
         return forced[static_cast<int>(coll)];
     }
 
-    /** Parse a policy string; panics on unknown tokens. */
-    static CollPolicy parse(const std::string &spec);
+    /** Parse a policy string. An unknown token panics or, when `err`
+     *  is given, is described there. */
+    static CollPolicy parse(const std::string &spec,
+                            std::string *err = nullptr);
 
     /** Canonical string form (round-trips through parse). */
     std::string str() const;

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "net/loggp.hh"
 #include "obs/metrics.hh"
@@ -50,9 +52,9 @@ struct Knobs
     double delayAtUs = -1; ///< Stall start, microseconds (-1 = t 0).
     double delayUs = -1;   ///< Stall duration, microseconds.
 
-    /** Fat-tree topology model (net/topology.hh); `topo = 1` or any
+    /** Fat-tree topology model (net/topology.hh); `topo >= 1` or any
      *  topo* field enables it. */
-    int topo = -1;           ///< 1 = enable with defaults, 0 = off.
+    int topo = -1;           ///< >= 1 = enable with defaults, 0 = off.
     int topoHosts = -1;      ///< Hosts per leaf switch.
     double topoLinkMBps = -1; ///< Edge link bandwidth.
     double topoOversub = -1; ///< Spine oversubscription ratio.
@@ -75,6 +77,48 @@ struct Knobs
     /** Apply to a parameter set. */
     void applyTo(LogGPParams &params) const;
 };
+
+/** The values a knob takes. None takes a negative value: negative is
+ *  the Knobs sentinel for "unset". */
+enum class KnobKind
+{
+    kReal,   ///< Non-negative real (microseconds, MB/s, a ratio).
+    kCount,  ///< Non-negative integer.
+    kRate,   ///< Probability in [0, 1].
+    kString, ///< The collective policy (coll::CollPolicy's grammar).
+};
+
+/** One knob: its key (`nowlab --key`, a nowlabd "knobs" member), the
+ *  values it takes and the Knobs field it sets. */
+struct KnobSpec
+{
+    const char *key;
+    KnobKind kind;
+    std::variant<double Knobs::*, int Knobs::*, long Knobs::*,
+                 std::string Knobs::*>
+        field;
+    /** The value a bare `--key` stands for (null: a value is needed). */
+    const char *bare = nullptr;
+};
+
+/** Every knob, in `nowlab` usage order. */
+const std::vector<KnobSpec> &knobTable();
+
+/** The table entry for `key`, or null. */
+const KnobSpec *findKnob(const std::string &key);
+
+/** Set a knob from text ("55", "tuned") or a number (nowlabd's JSON):
+ *  "" when legal, else a complaint naming the knob (`k` unchanged). */
+std::string setKnob(Knobs &k, const KnobSpec &spec,
+                    const std::string &text);
+std::string setKnob(Knobs &k, const KnobSpec &spec, double v);
+
+/** The complaint for a value `spec` does not take, shown as `what`. */
+std::string knobRefusal(const KnobSpec &spec, const std::string &what);
+
+/** setKnob's complaint about the value `k` already holds for `spec`;
+ *  "" when it is unset or legal. */
+std::string checkKnob(const Knobs &k, const KnobSpec &spec);
 
 /** Complete configuration of one application run. */
 struct RunConfig
@@ -100,6 +144,16 @@ struct RunConfig
      *  message trace (messageTraceFromObs). */
     SpanTracer *obs = nullptr;
 };
+
+/** The machine parameters a run resolves to and runApp simulates: the
+ *  machine's, then Knobs::applyTo, then the NOW_SIM_THREADS and
+ *  NOW_COLL_ALG fallbacks for knobs left unset. */
+LogGPParams resolvedParams(const RunConfig &config);
+
+/** Append `p` in canonical form (fixed order and width), as the cache
+ *  and model keys do: without the thread count, which results do not
+ *  depend on, but with the engine and shard count, which they do. */
+void putParams(std::string &out, const LogGPParams &p);
 
 /** Everything measured from one run. */
 struct RunResult

@@ -81,4 +81,18 @@ MachineConfig::meikoCs2()
     return m;
 }
 
+bool
+MachineConfig::byKey(const std::string &key, MachineConfig &out)
+{
+    if (key == "now")
+        out = berkeleyNow();
+    else if (key == "paragon")
+        out = intelParagon();
+    else if (key == "meiko")
+        out = meikoCs2();
+    else
+        return false;
+    return true;
+}
+
 } // namespace nowcluster

@@ -184,6 +184,10 @@ struct MachineConfig
     static MachineConfig intelParagon();
     /** Meiko CS-2: o=1.7us g=13.6us L=7.5us 47 MB/s. */
     static MachineConfig meikoCs2();
+
+    /** The machine named "now", "paragon" or "meiko" (`nowlab
+     *  --machine`, nowlabd's "machine"); false for any other name. */
+    static bool byKey(const std::string &key, MachineConfig &out);
 };
 
 } // namespace nowcluster

@@ -3,120 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#include "base/bytes.hh"
+
 namespace nowcluster::svc {
 
 namespace {
 
 constexpr char kMagic[8] = {'N', 'O', 'W', 'R', 'E', 'S', '0', '1'};
-
-// ---- encoding -------------------------------------------------------
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-void
-putI64(std::string &out, std::int64_t v)
-{
-    putU64(out, static_cast<std::uint64_t>(v));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-void
-putDouble(std::string &out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-}
-
-// ---- decoding (bounds-checked cursor) -------------------------------
-
-struct Cursor
-{
-    const char *p;
-    const char *end;
-
-    bool
-    take(void *dst, std::size_t n)
-    {
-        if (static_cast<std::size_t>(end - p) < n)
-            return false;
-        std::memcpy(dst, p, n);
-        p += n;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        unsigned char b[8];
-        if (!take(b, 8))
-            return false;
-        v = 0;
-        for (int i = 7; i >= 0; --i)
-            v = (v << 8) | b[i];
-        return true;
-    }
-
-    bool
-    i64(std::int64_t &v)
-    {
-        std::uint64_t u;
-        if (!u64(u))
-            return false;
-        v = static_cast<std::int64_t>(u);
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        unsigned char b[4];
-        if (!take(b, 4))
-            return false;
-        v = (std::uint32_t(b[3]) << 24) | (std::uint32_t(b[2]) << 16) |
-            (std::uint32_t(b[1]) << 8) | std::uint32_t(b[0]);
-        return true;
-    }
-
-    bool
-    f64(double &v)
-    {
-        std::uint64_t bits;
-        if (!u64(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof v);
-        return true;
-    }
-
-    bool
-    str(std::string &s)
-    {
-        std::uint32_t n;
-        if (!u32(n) || static_cast<std::size_t>(end - p) < n)
-            return false;
-        s.assign(p, n);
-        p += n;
-        return true;
-    }
-};
 
 void
 putHistogram(std::string &out, const Histogram &h)
@@ -197,7 +90,7 @@ decodeResult(std::string_view payload, RunResult &out)
     if (payload.size() < sizeof kMagic ||
         std::memcmp(payload.data(), kMagic, sizeof kMagic) != 0)
         return false;
-    Cursor c{payload.data() + sizeof kMagic,
+    ByteCursor c{payload.data() + sizeof kMagic,
              payload.data() + payload.size()};
 
     RunResult r;

@@ -1,8 +1,6 @@
 #include "svc/service.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <iterator>
 
 #include "svc/spec.hh"
 
@@ -38,47 +36,6 @@ stateName(int state)
     return "?";
 }
 
-/** Where one key of a submit's "knobs" object lands. A non-numeric
- *  value leaves the knob unset (-1), like an absent key. */
-struct KnobField
-{
-    const char *key;
-    void (*set)(Knobs &, double);
-};
-
-const KnobField kKnobFields[] = {
-    {"overhead", [](Knobs &k, double v) { k.overheadUs = v; }},
-    {"gap", [](Knobs &k, double v) { k.gapUs = v; }},
-    {"latency", [](Knobs &k, double v) { k.latencyUs = v; }},
-    {"mbps", [](Knobs &k, double v) { k.bulkMBps = v; }},
-    {"occupancy", [](Knobs &k, double v) { k.occupancyUs = v; }},
-    {"window", [](Knobs &k, double v) { k.window = static_cast<int>(v); }},
-    {"drop", [](Knobs &k, double v) { k.dropRate = v; }},
-    {"dup", [](Knobs &k, double v) { k.dupRate = v; }},
-    {"corrupt", [](Knobs &k, double v) { k.corruptRate = v; }},
-    {"reorder", [](Knobs &k, double v) { k.reorderRate = v; }},
-    {"reorder-delay", [](Knobs &k, double v) { k.reorderMaxDelayUs = v; }},
-    {"fault-seed",
-     [](Knobs &k, double v) { k.faultSeed = static_cast<long>(v); }},
-    {"reliable",
-     [](Knobs &k, double v) { k.reliable = static_cast<int>(v); }},
-    {"rto", [](Knobs &k, double v) { k.retxTimeoutUs = v; }},
-    {"delay-node",
-     [](Knobs &k, double v) { k.delayNode = static_cast<long>(v); }},
-    {"delay-at", [](Knobs &k, double v) { k.delayAtUs = v; }},
-    {"delay-us", [](Knobs &k, double v) { k.delayUs = v; }},
-    {"topo", [](Knobs &k, double v) { k.topo = static_cast<int>(v); }},
-    {"topo-hosts",
-     [](Knobs &k, double v) { k.topoHosts = static_cast<int>(v); }},
-    {"topo-mbps", [](Knobs &k, double v) { k.topoLinkMBps = v; }},
-    {"topo-oversub", [](Knobs &k, double v) { k.topoOversub = v; }},
-    {"topo-hop", [](Knobs &k, double v) { k.topoHopUs = v; }},
-    {"sim-threads",
-     [](Knobs &k, double v) { k.simThreads = static_cast<int>(v); }},
-    {"sim-shards",
-     [](Knobs &k, double v) { k.simShards = static_cast<int>(v); }},
-};
-
 } // namespace
 
 std::string
@@ -87,15 +44,6 @@ errorReply(const std::string &error)
     JsonWriter w;
     w.beginObject().field("ok", false).field("error", error).endObject();
     return w.str();
-}
-
-std::vector<const char *>
-knobKeys()
-{
-    std::vector<const char *> keys;
-    for (const KnobField &f : kKnobFields)
-        keys.push_back(f.key);
-    return keys;
 }
 
 RunPoint
@@ -112,27 +60,22 @@ pointOfRequest(const JsonValue &req, std::string *complaint)
     if (max_ms > 0)
         c.maxTime = static_cast<Tick>(max_ms * kMsec);
 
-    std::string machine = req.stringOr("machine", "now");
-    if (machine == "paragon")
-        c.machine = MachineConfig::intelParagon();
-    else if (machine == "meiko")
-        c.machine = MachineConfig::meikoCs2();
-    else
-        c.machine = MachineConfig::berkeleyNow();
+    const std::string machine = req.stringOr("machine", "now");
+    if (!MachineConfig::byKey(machine, c.machine) && complaint)
+        *complaint = "unknown machine '" + machine + "'";
 
     if (const JsonValue *k = req.find("knobs")) {
-        for (const auto &member : k->object) {
-            const std::string &key = member.first;
-            const KnobField *f = std::find_if(
-                std::begin(kKnobFields), std::end(kKnobFields),
-                [&key](const KnobField &kf) { return key == kf.key; });
-            if (f == std::end(kKnobFields)) {
-                if (complaint)
-                    *complaint = "unknown knob '" + key + "'";
-                continue;
-            }
-            const JsonValue &v = member.second;
-            f->set(c.knobs, v.isNumber() ? v.number : -1);
+        for (const auto &[key, v] : k->object) {
+            const KnobSpec *spec = findKnob(key);
+            const std::string why =
+                !spec          ? "unknown knob '" + key + "'"
+                : v.isNumber() ? setKnob(c.knobs, *spec, v.number)
+                : v.isString() && spec->kind == KnobKind::kString
+                    ? setKnob(c.knobs, *spec, v.str)
+                    : knobRefusal(*spec, v.isString() ? "a string"
+                                                      : "a non-number");
+            if (complaint && complaint->empty())
+                *complaint = why;
         }
     }
     // The result's provenance (0 = simulated, 1 = analytic), part of

@@ -80,16 +80,12 @@ constexpr std::size_t kMaxRequestBytes = 1 << 16;
 std::string errorReply(const std::string &error);
 
 /** The RunPoint a submit request describes (missing fields take the
- *  same defaults `nowlab run` applies). A "knobs" key that names no
- *  knob is skipped, and `complaint`, when given, gets an error naming
- *  it, so a submit can refuse a typo or a removed knob rather than run
- *  the baseline. */
+ *  same defaults `nowlab run` applies). An unknown machine or knob, or
+ *  a value the knob table refuses (`"latency":-5`, `"latency":"55"`),
+ *  is skipped, and `complaint`, when given, gets the first such error,
+ *  so a submit is refused rather than run as the baseline. */
 RunPoint pointOfRequest(const JsonValue &req,
                         std::string *complaint = nullptr);
-
-/** The keys a submit's "knobs" object may carry (the `nowlab` option
- *  names of the same knobs). */
-std::vector<const char *> knobKeys();
 
 /** The {"ok":true,"id":...,"state":...,"cached":...} reply to submit
  *  and status. */

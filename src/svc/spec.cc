@@ -1,8 +1,7 @@
 #include "svc/spec.hh"
 
-#include <cstring>
-
 #include "apps/app.hh"
+#include "base/bytes.hh"
 #include "svc/hash.hh"
 
 namespace nowcluster::svc {
@@ -18,125 +17,6 @@ namespace {
  */
 constexpr const char *kCodeFingerprint = "nowcluster-sim-v5";
 
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-void
-putI64(std::string &out, std::int64_t v)
-{
-    putU64(out, static_cast<std::uint64_t>(v));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-void
-putDouble(std::string &out, double v)
-{
-    // Bit pattern, not decimal text: distinct doubles never alias.
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-}
-
-void
-putParams(std::string &out, const LogGPParams &p)
-{
-    putI64(out, p.oSend);
-    putI64(out, p.oRecv);
-    putI64(out, p.addedO);
-    putI64(out, p.gap);
-    putI64(out, p.latency);
-    putI64(out, p.addedL);
-    putDouble(out, p.gPerByte);
-    putI64(out, p.occupancy);
-    putU32(out, static_cast<std::uint32_t>(p.window));
-    putU32(out, static_cast<std::uint32_t>(p.txQueueDepth));
-    putU64(out, p.maxFragment);
-    putU32(out, p.fault.enabled ? 1 : 0);
-    putDouble(out, p.fault.dropRate);
-    putDouble(out, p.fault.dupRate);
-    putDouble(out, p.fault.corruptRate);
-    putDouble(out, p.fault.reorderRate);
-    putI64(out, p.fault.reorderMaxDelay);
-    putU64(out, p.fault.seed);
-    // v5: scripted one-off delay windows shape results.
-    putU32(out, static_cast<std::uint32_t>(p.fault.delays.size()));
-    for (const DelaySpec &d : p.fault.delays) {
-        putU32(out, static_cast<std::uint32_t>(d.node));
-        putI64(out, d.at);
-        putI64(out, d.duration);
-    }
-    putU32(out, p.reliable ? 1 : 0);
-    putI64(out, p.retxTimeout);
-    putU32(out, static_cast<std::uint32_t>(p.retxMaxRetries));
-    putU32(out, p.topo ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(p.topoHostsPerLeaf));
-    putDouble(out, p.topoLinkMBps);
-    putDouble(out, p.topoOversub);
-    putI64(out, p.topoHopLatency);
-    // simThreads is deliberately absent: results are thread-count
-    // independent by construction. The shard count does shape results
-    // (engine + layout), so it participates.
-    putU32(out, p.simThreads > 0 ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(p.simShards));
-    putStr(out, p.collAlg);
-}
-
-void
-putKnobs(std::string &out, const Knobs &k)
-{
-    putDouble(out, k.overheadUs);
-    putDouble(out, k.gapUs);
-    putDouble(out, k.latencyUs);
-    putDouble(out, k.bulkMBps);
-    putDouble(out, k.occupancyUs);
-    putU32(out, static_cast<std::uint32_t>(k.window));
-    putDouble(out, k.dropRate);
-    putDouble(out, k.dupRate);
-    putDouble(out, k.corruptRate);
-    putDouble(out, k.reorderRate);
-    putDouble(out, k.reorderMaxDelayUs);
-    putI64(out, k.faultSeed);
-    putU32(out, static_cast<std::uint32_t>(k.reliable));
-    putDouble(out, k.retxTimeoutUs);
-    putI64(out, k.delayNode);
-    putDouble(out, k.delayAtUs);
-    putDouble(out, k.delayUs);
-    putU32(out, static_cast<std::uint32_t>(k.topo));
-    putU32(out, static_cast<std::uint32_t>(k.topoHosts));
-    putDouble(out, k.topoLinkMBps);
-    putDouble(out, k.topoOversub);
-    putDouble(out, k.topoHopUs);
-    // Same reasoning as putParams: sharded-vs-classic and the shard
-    // layout matter; the thread count does not. An unset knob resolves
-    // through the NOW_SIM_THREADS fallback exactly as runApp() will,
-    // so the key names the engine that actually runs.
-    const int threads =
-        k.simThreads >= 0 ? k.simThreads : envConfig().simThreads;
-    putU32(out, threads > 0 ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(k.simShards));
-    // Resolve the collective policy through the NOW_COLL_ALG fallback
-    // the same way runApp() does, so the key names the algorithms the
-    // run will actually use.
-    putStr(out, !k.collAlg.empty() ? k.collAlg : envConfig().collAlg);
-}
-
 } // namespace
 
 const std::string &
@@ -151,7 +31,7 @@ canonicalSpec(const RunPoint &pt)
 {
     std::string out;
     out.reserve(512);
-    out += "NOWSPEC1";
+    out += "NOWSPEC2";
     putStr(out, pt.app);
     const RunConfig &c = pt.config;
     putU32(out, static_cast<std::uint32_t>(c.nprocs));
@@ -160,8 +40,10 @@ canonicalSpec(const RunPoint &pt)
     putI64(out, c.maxTime);
     putU32(out, c.validate ? 1 : 0);
     putStr(out, c.machine.name);
-    putParams(out, c.machine.params);
-    putKnobs(out, c.knobs);
+    // v2: the parameters the run resolves to, not the knobs that were
+    // typed: two spellings of one machine share one key, and a knob
+    // cannot shape a result without reaching the key.
+    putParams(out, resolvedParams(c));
     // v4: the producing backend is part of the spec -- a model-derived
     // runtime and a simulated one for the same knobs are different
     // results and must never alias under one key.
@@ -208,10 +90,11 @@ validateSpec(const RunPoint &pt)
         return "latency below hardware baseline";
     if (k.bulkMBps == 0 || (k.bulkMBps > 0 && k.bulkMBps > 1e6))
         return "bulk bandwidth out of range";
-    auto badRate = [](double r) { return r > 1.0; };
-    if (badRate(k.dropRate) || badRate(k.dupRate) ||
-        badRate(k.corruptRate) || badRate(k.reorderRate))
-        return "fault rates must be <= 1";
+    for (const KnobSpec &spec : knobTable()) {
+        std::string why = checkKnob(k, spec);
+        if (!why.empty())
+            return why;
+    }
     if (k.delayNode >= c.nprocs)
         return "delay node out of range";
     if (k.delayNode >= 0 && !(k.delayUs > 0))

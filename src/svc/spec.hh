@@ -2,14 +2,14 @@
  * @file
  * Canonical experiment specs and content-addressed cache keys.
  *
- * PR 2 made every experiment a deterministic pure function of its
+ * Every experiment is a deterministic pure function of its
  * configuration: the same (app, machine, knobs, procs, scale, seed,
  * budget) always produces byte-identical results at any --jobs value.
  * That is exactly the contract a cache needs. This module turns a
  * RunPoint into a *canonical* byte string -- fixed field order, fixed
- * little-endian widths, doubles serialized by bit pattern so 0.1 and
- * 0.1 + 1e-30 never alias -- and hashes it together with a code
- * fingerprint into the key the result store is addressed by.
+ * little-endian widths, the knobs only as the machine parameters they
+ * resolve to -- and hashes it with a code fingerprint into the key the
+ * result store is addressed by.
  *
  * The code fingerprint is a hand-bumped simulation-behavior version:
  * any change that can alter what an experiment *measures* (event
@@ -36,10 +36,11 @@ const std::string &codeFingerprint();
 
 /**
  * The canonical binary serialization of one experiment point:
- * "NOWSPEC1" magic, then every field of the RunConfig (machine
- * parameters and knobs included) in fixed order at fixed width.
- * Attached trace/obs sinks are deliberately not part of the spec --
- * they do not change measured results (tested in test_obs.cc).
+ * "NOWSPEC2" magic, the app, size, seed, budget, validation flag and
+ * machine name, putParams(resolvedParams(config)), then the producing
+ * backend. Attached trace/obs sinks are deliberately not part of the
+ * spec -- they do not change measured results (tested in
+ * test_obs.cc).
  */
 std::string canonicalSpec(const RunPoint &pt);
 

@@ -12,6 +12,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "base/bytes.hh"
 #include "base/logging.hh"
 #include "svc/codec.hh"
 #include "svc/hash.hh"
@@ -108,25 +109,6 @@ writeFileAtomic(const std::string &dir, const std::string &path,
         ::close(dfd);
     }
     crashPoint("dir-synced");
-    return true;
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-bool
-takeU64(const char *&p, const char *end, std::uint64_t &v)
-{
-    if (end - p < 8)
-        return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    p += 8;
     return true;
 }
 
@@ -298,20 +280,16 @@ ResultStore::get(const std::string &key, std::string &payload)
     if (ok) {
         // Validate everything we wrote: magic, key echo, length,
         // payload checksum.
-        const char *p = raw.data();
-        const char *end = p + raw.size();
+        ByteCursor c{raw.data(), raw.data() + raw.size()};
+        char magic[sizeof kEntryMagic], echo[64];
         std::uint64_t len = 0, sum = 0;
-        ok = raw.size() >= sizeof kEntryMagic + 64 + 16 &&
-             std::memcmp(p, kEntryMagic, sizeof kEntryMagic) == 0;
+        ok = c.take(magic, sizeof magic) && c.take(echo, sizeof echo) &&
+             c.u64(len) && c.u64(sum) &&
+             std::memcmp(magic, kEntryMagic, sizeof magic) == 0 &&
+             std::memcmp(echo, key.data(), sizeof echo) == 0 &&
+             static_cast<std::uint64_t>(c.end - c.p) == len;
         if (ok) {
-            p += sizeof kEntryMagic;
-            ok = std::memcmp(p, key.data(), 64) == 0;
-            p += 64;
-        }
-        ok = ok && takeU64(p, end, len) && takeU64(p, end, sum);
-        ok = ok && static_cast<std::uint64_t>(end - p) == len;
-        if (ok) {
-            payload.assign(p, len);
+            payload.assign(c.p, len);
             ok = fnv1a64(payload) == sum;
         }
     }

@@ -288,6 +288,29 @@ TEST(Analytic, PredictionsRespectTheRunBudget)
     EXPECT_GT(over.runtime, tight.config.maxTime);
 }
 
+// Which engine ran is part of a model's identity: a model traced on
+// the classic engine must not answer for the sharded one, whose base
+// runtime depends on the shard layout.
+TEST(Analytic, ModelsAreKeyedByTheEngine)
+{
+    BackendOptions opts;
+    opts.validateModels = false;
+    AnalyticBackend be(opts);
+    RunPoint classic = smallPoint("radix");
+    classic.config.knobs.simThreads = 0;
+    RunPoint sharded = classic;
+    sharded.config.knobs.simThreads = 2;
+    ASSERT_TRUE(be.run(classic).ok);
+    EXPECT_TRUE(be.ready(classic));
+    EXPECT_FALSE(be.ready(sharded));
+
+    // The thread count alone is not: results do not depend on it.
+    RunPoint sharded4 = sharded;
+    sharded4.config.knobs.simThreads = 4;
+    ASSERT_TRUE(be.run(sharded).ok);
+    EXPECT_TRUE(be.ready(sharded4));
+}
+
 /**
  * The acceptance grid: for one app, sweep L x o, answer every point
  * with both engines, and require <= 10% runtime error plus agreement

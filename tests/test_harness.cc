@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.hh"
 
@@ -45,6 +48,57 @@ TEST(Knobs, EveryKnobLandsInItsField)
     EXPECT_NEAR(p.bulkMBps(), 10.0, 1e-9);
     EXPECT_EQ(p.occupancy, usec(7));
     EXPECT_EQ(p.window, 4);
+}
+
+// The knob table refuses any value outside the knob's kind, naming the
+// knob, and leaves the knob as it was; legal values land in the field.
+TEST(Knobs, TableRefusesOutOfKindValuesByName)
+{
+    auto set = [](Knobs &k, const char *key, const std::string &text) {
+        const KnobSpec *spec = findKnob(key);
+        EXPECT_NE(spec, nullptr) << key;
+        return spec ? setKnob(k, *spec, text) : std::string("no knob");
+    };
+    Knobs k;
+    for (const auto &[key, text] :
+         std::vector<std::pair<const char *, std::string>>{
+             {"latency", "-5"},      // negative: the "unset" sentinel
+             {"latency", "55us"},    // trailing junk
+             {"drop", "1.5"},        // a rate above 1
+             {"window", "2.5"},      // a count that is not an integer
+             {"window", "3e9"},      // beyond an int field
+             {"fault-seed", "1e17"}, // beyond exact doubles
+             {"coll-alg", "bcast=nope"},
+         }) {
+        const std::string why = set(k, key, text);
+        EXPECT_NE(why.find(std::string("knob '") + key + "'"),
+                  std::string::npos)
+            << key << " " << text << ": " << why;
+    }
+    EXPECT_EQ(k.latencyUs, -1);
+    EXPECT_EQ(k.window, -1);
+    EXPECT_EQ(k.faultSeed, -1);
+    EXPECT_EQ(k.collAlg, "");
+
+    EXPECT_EQ(set(k, "latency", "55"), "");
+    EXPECT_EQ(set(k, "window", "3"), "");
+    EXPECT_EQ(set(k, "fault-seed", "12345678901"), "");
+    EXPECT_EQ(set(k, "drop", "1"), "");
+    EXPECT_EQ(set(k, "coll-alg", "tuned"), "");
+    EXPECT_EQ(set(k, "topo", findKnob("topo")->bare), "");
+    EXPECT_EQ(k.latencyUs, 55);
+    EXPECT_EQ(k.window, 3);
+    EXPECT_EQ(k.faultSeed, 12345678901L);
+    EXPECT_EQ(k.dropRate, 1);
+    EXPECT_EQ(k.collAlg, "tuned");
+    EXPECT_EQ(k.topo, 1);
+
+    // A number for the string knob, and the number path's own checks.
+    EXPECT_NE(setKnob(k, *findKnob("coll-alg"), 5.0), "");
+    EXPECT_NE(setKnob(k, *findKnob("sim-threads"), -3.0), "");
+    EXPECT_EQ(checkKnob(k, *findKnob("drop")), "");
+    k.dropRate = 2;
+    EXPECT_NE(checkKnob(k, *findKnob("drop")), "");
 }
 
 TEST(Harness, EnvConfigParsesAndRejectsGarbage)

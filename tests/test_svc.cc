@@ -111,6 +111,23 @@ TEST(Spec, KeyIsStableAndWellFormed)
     EXPECT_EQ(svc::canonicalSpec(pt), svc::canonicalSpec(pt));
 }
 
+/** A legal value of each kind that no machine has as its default. */
+std::string
+legalValueOf(KnobKind kind)
+{
+    switch (kind) {
+      case KnobKind::kReal:
+        return "77";
+      case KnobKind::kCount:
+        return "3";
+      case KnobKind::kRate:
+        return "0.25";
+      case KnobKind::kString:
+        return "tuned";
+    }
+    return "";
+}
+
 TEST(Spec, KeyIsSensitiveToEveryFieldThatChangesResults)
 {
     const std::string base = svc::cacheKey(smallPoint());
@@ -163,13 +180,59 @@ TEST(Spec, KeyIsSensitiveToEveryFieldThatChangesResults)
                 << i << " vs " << j;
     }
 
-    // A double that differs in the last bit must not alias.
-    p = smallPoint();
+    // Every knob in the table moves the key, so a knob added without
+    // reaching the resolved parameters fails here. The delay knobs act
+    // only together, so the base already stalls node 1: each of the
+    // three then changes the stall on its own.
+    RunPoint stalled = smallPoint();
+    stalled.config.knobs.delayNode = 1;
+    stalled.config.knobs.delayUs = 50;
+    const std::string stalledKey = svc::cacheKey(stalled);
+    std::vector<std::string> knobKeys;
+    for (const KnobSpec &spec : knobTable()) {
+        RunPoint q = stalled;
+        const std::string v = legalValueOf(spec.kind);
+        ASSERT_EQ(setKnob(q.config.knobs, spec, v), "") << spec.key;
+        EXPECT_EQ(svc::validateSpec(q), "") << spec.key;
+        const std::string key = svc::cacheKey(q);
+        EXPECT_NE(key, stalledKey) << "--" << spec.key << " " << v;
+        for (std::size_t i = 0; i < knobKeys.size(); ++i)
+            EXPECT_NE(key, knobKeys[i])
+                << spec.key << " vs " << knobTable()[i].key;
+        knobKeys.push_back(key);
+    }
+}
+
+// The key names what the run simulates: values that resolve to
+// different ticks never alias, and two spellings of one machine share
+// one key -- and really do give byte-identical results.
+TEST(Spec, KeyFollowsTheResolvedParameters)
+{
+    RunPoint p = smallPoint();
     p.config.knobs.overheadUs = 12.9;
     RunPoint q = smallPoint();
-    q.config.knobs.overheadUs =
-        std::nextafter(12.9, 1e9);
+    q.config.knobs.overheadUs = 12.901; // One tick (1 ns) more.
+    ASSERT_NE(usec(12.9), usec(12.901));
     EXPECT_NE(svc::cacheKey(p), svc::cacheKey(q));
+
+    auto sameRun = [](const RunPoint &a, const RunPoint &b) {
+        EXPECT_EQ(svc::canonicalSpec(a), svc::canonicalSpec(b));
+        EXPECT_EQ(svc::cacheKey(a), svc::cacheKey(b));
+        EXPECT_EQ(fingerprint(runApp(a.app, a.config)),
+                  fingerprint(runApp(b.app, b.config)));
+    };
+    // The NOW's own overhead, 2.9 us, is no knob at all.
+    p = smallPoint();
+    q = smallPoint();
+    q.config.knobs.overheadUs = 2.9;
+    sameRun(p, q);
+    // Any topo-* knob switches the fat-tree on; --topo 1 says so twice.
+    p = smallPoint();
+    p.config.knobs.topo = 1;
+    p.config.knobs.topoHosts = 4;
+    q = smallPoint();
+    q.config.knobs.topoHosts = 4;
+    sameRun(p, q);
 }
 
 TEST(Spec, ValidateSpecAnswersInsteadOfKilling)
@@ -190,8 +253,11 @@ TEST(Spec, ValidateSpecAnswersInsteadOfKilling)
     pt = smallPoint();
     pt.config.knobs.overheadUs = 0.5; // Below the hardware baseline.
     EXPECT_NE(svc::validateSpec(pt), "");
+    // The knob table's own check and message, as `nowlab --drop 2`.
     pt = smallPoint();
     pt.config.knobs.dropRate = 2.0;
+    Knobs cli;
+    EXPECT_EQ(svc::validateSpec(pt), setKnob(cli, *findKnob("drop"), "2"));
     EXPECT_NE(svc::validateSpec(pt), "");
 }
 
@@ -662,10 +728,20 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
              "\"knobs\":{\"fabric-hosts\":4}}",
              "{\"op\":\"submit\",\"app\":\"radix\","
              "\"knobs\":{\"latncy\":55}}",
+             // A value the knob does not take is refused by name, never
+             // run as the baseline under its own or another key.
+             "{\"op\":\"submit\",\"app\":\"radix\","
+             "\"knobs\":{\"latency\":\"55\"}}",
+             "{\"op\":\"submit\",\"app\":\"radix\","
+             "\"knobs\":{\"latency\":-5}}",
+             // Nor is an unknown machine run as the NOW.
+             "{\"op\":\"submit\",\"app\":\"radix\","
+             "\"machine\":\"cray\"}",
          }) {
         svc::JsonValue v = parsed(core.handleLine(line));
         EXPECT_FALSE(v.boolOr("ok", true)) << line;
-        for (const char *knob : {"fabric-hosts", "latncy"}) {
+        for (const char *knob :
+             {"fabric-hosts", "latncy", "latency", "cray"}) {
             if (std::strstr(line, knob)) {
                 EXPECT_NE(v.stringOr("error", "").find(knob),
                           std::string::npos)
@@ -674,7 +750,7 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
         }
     }
     svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
-    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 11);
+    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 14);
 }
 
 TEST(ServiceCore, FullQueueAnswersBusyWithRetryHint)

@@ -1,35 +1,9 @@
 /**
  * @file
- * nowlab: command-line front end to the laboratory.
- *
- *   nowlab list
- *   nowlab calibrate [knobs]
- *   nowlab run <app> [knobs] [--procs N] [--scale S] [--seed X]
- *                    [--machine now|paragon|meiko] [--matrix]
- *                    [--pgm FILE]
- *   nowlab sweep <app> --knob K --values a,b,c [--procs N] [--scale S]
- *                [--jobs J]
- *   nowlab perf [--app A] [--points K] [--jobs J] [--events N]
- *               [--out FILE]
- *   nowlab trace <app> [--out F.json] [knobs]
- *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
- *                    [--threshold F] [--out F.json] [knobs]
- *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
- *                [--cache-only]
- *   nowlab submit <app> [knobs] [--host H] [--port P] [--wait]
- *                [--max-retries N]
- *   nowlab get --id N [--host H] [--port P]
- *   nowlab get <app> --cache-dir D [knobs]      (offline store read)
- *   nowlab stats [--host H] [--port P] [--shutdown]
- *   nowlab storm [--host H] [--port P] [--conns C] [--ops N]
- *                [--app A] [--seeds K] [--out BENCH_svc.json]
- *
- * Knobs (all optional): --overhead US --gap US --latency US --mbps B
- *                       --occupancy US --window N
- * Fault knobs:          --drop P --dup P --corrupt P --reorder P
- *                       --reorder-delay US --fault-seed X
- *                       --reliable 0|1 --rto US
- * Delay injection:      --delay-node N --delay-at US --delay-us US
+ * nowlab: command-line front end to the laboratory. Run it with no
+ * arguments for usage; the commands and the flags each reads are the
+ * commands() table at the bottom. Knobs are `--key value`, one per
+ * entry of knobTable() (harness/experiment.hh).
  */
 
 #include <chrono>
@@ -88,22 +62,41 @@ struct Args
     std::map<std::string, bool> flags;
 };
 
+/** The flags that take no value. A knob with a bare value (`--topo`)
+ *  may also stand alone; every other flag needs one. */
+bool
+isBareFlag(const std::string &key)
+{
+    static const std::set<std::string> kBare = {
+        "matrix", "cache-only", "no-validate", "wait", "shutdown"};
+    return kBare.count(key) != 0;
+}
+
+/** Split argv into positionals, options and flags. A flag that needs
+ *  a value takes the next argument (`--latency -5` too) unless there is
+ *  none or it is a `--flag`; refuseUnknownFlags then refuses it. */
 Args
 parseArgs(int argc, char **argv)
 {
     Args a;
     for (int i = 1; i < argc; ++i) {
         std::string s = argv[i];
-        if (s.rfind("--", 0) == 0) {
-            std::string key = s.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                a.options[key] = argv[++i];
-            } else {
-                a.flags[key] = true;
-            }
-        } else {
+        if (s.rfind("--", 0) != 0) {
             a.positional.push_back(s);
+            continue;
         }
+        std::string key = s.substr(2);
+        const bool valueless =
+            i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0;
+        const KnobSpec *knob = findKnob(key);
+        if (isBareFlag(key))
+            a.flags[key] = true;
+        else if (valueless && knob && knob->bare)
+            a.options[key] = knob->bare;
+        else if (valueless)
+            a.flags[key] = true;
+        else
+            a.options[key] = argv[++i];
     }
     return a;
 }
@@ -138,54 +131,52 @@ optLong(const Args &a, const std::string &key, long fallback)
     return v;
 }
 
+/** Split a comma-separated list (empty fields dropped). */
+std::vector<std::string>
+splitCsv(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= s.size()) {
+        std::size_t comma = s.find(',', start);
+        if (comma == std::string::npos)
+            comma = s.size();
+        if (comma > start)
+            out.push_back(s.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
+}
+
+MachineConfig
+machineByName(const std::string &m)
+{
+    MachineConfig out;
+    fatal_if(!MachineConfig::byKey(m, out),
+             "unknown machine '%s' (now|paragon|meiko)", m.c_str());
+    return out;
+}
+
 MachineConfig
 machineOf(const Args &a)
 {
     auto it = a.options.find("machine");
-    std::string m = it == a.options.end() ? "now" : it->second;
-    if (m == "now")
-        return MachineConfig::berkeleyNow();
-    if (m == "paragon")
-        return MachineConfig::intelParagon();
-    if (m == "meiko")
-        return MachineConfig::meikoCs2();
-    fatal("unknown machine '%s' (now|paragon|meiko)", m.c_str());
+    return machineByName(it == a.options.end() ? "now" : it->second);
 }
 
+/** The knobs given on the command line; a value the knob does not
+ *  take is fatal, naming the knob. */
 Knobs
 knobsOf(const Args &a)
 {
     Knobs k;
-    k.overheadUs = optDouble(a, "overhead", -1);
-    k.gapUs = optDouble(a, "gap", -1);
-    k.latencyUs = optDouble(a, "latency", -1);
-    k.bulkMBps = optDouble(a, "mbps", -1);
-    k.occupancyUs = optDouble(a, "occupancy", -1);
-    k.window = static_cast<int>(optLong(a, "window", -1));
-    k.dropRate = optDouble(a, "drop", -1);
-    k.dupRate = optDouble(a, "dup", -1);
-    k.corruptRate = optDouble(a, "corrupt", -1);
-    k.reorderRate = optDouble(a, "reorder", -1);
-    k.reorderMaxDelayUs = optDouble(a, "reorder-delay", -1);
-    k.faultSeed = optLong(a, "fault-seed", -1);
-    k.reliable = static_cast<int>(optLong(a, "reliable", -1));
-    k.retxTimeoutUs = optDouble(a, "rto", -1);
-    k.delayNode = optLong(a, "delay-node", -1);
-    k.delayAtUs = optDouble(a, "delay-at", -1);
-    k.delayUs = optDouble(a, "delay-us", -1);
-    // --topo as a bare flag enables the fat-tree with defaults; any
-    // --topo-* option implies it too (applyTo handles that).
-    k.topo = a.flags.count("topo")
-                 ? 1
-                 : static_cast<int>(optLong(a, "topo", -1));
-    k.topoHosts = static_cast<int>(optLong(a, "topo-hosts", -1));
-    k.topoLinkMBps = optDouble(a, "topo-mbps", -1);
-    k.topoOversub = optDouble(a, "topo-oversub", -1);
-    k.topoHopUs = optDouble(a, "topo-hop", -1);
-    k.simThreads = static_cast<int>(optLong(a, "sim-threads", -1));
-    k.simShards = static_cast<int>(optLong(a, "sim-shards", -1));
-    if (auto it = a.options.find("coll-alg"); it != a.options.end())
-        k.collAlg = it->second;
+    for (const KnobSpec &spec : knobTable()) {
+        auto it = a.options.find(spec.key);
+        if (it == a.options.end())
+            continue;
+        const std::string why = setKnob(k, spec, it->second);
+        fatal_if(!why.empty(), "%s", why.c_str());
+    }
     return k;
 }
 
@@ -358,15 +349,11 @@ cmdSweep(const Args &a)
     auto values_it = a.options.find("values");
     fatal_if(knob_it == a.options.end() || values_it == a.options.end(),
              "sweep needs --knob and --values");
-    std::string knob = knob_it->second;
-
-    std::vector<double> xs;
-    {
-        std::string err;
-        fatal_if(!parseDoubleList(values_it->second, xs, &err),
-                 "--values: %s", err.c_str());
-    }
-    fatal_if(xs.empty(), "no sweep values given");
+    const std::string &knob = knob_it->second;
+    const KnobSpec *spec = findKnob(knob);
+    fatal_if(!spec, "unknown knob '%s'", knob.c_str());
+    const std::vector<std::string> values = splitCsv(values_it->second);
+    fatal_if(values.empty(), "no sweep values given");
     // Parse every numeric option before the baseline run so a typo
     // costs a diagnostic, not minutes of simulation.
     const int jobs = static_cast<int>(optLong(a, "jobs", 0));
@@ -394,6 +381,21 @@ cmdSweep(const Args &a)
     }
 
     RunConfig base = configOf(a);
+    // Every point is an independent simulation: fan them out. Their
+    // values are checked here, before the baseline run.
+    std::vector<RunPoint> points;
+    points.reserve(values.size());
+    for (const std::string &v : values) {
+        RunConfig c = base;
+        const std::string why = setKnob(c.knobs, *spec, v);
+        fatal_if(!why.empty(), "--values: %s", why.c_str());
+        // The rates are fault rates: losses need a recovery path.
+        if (spec->kind == KnobKind::kRate && c.knobs.reliable < 0)
+            c.knobs.reliable = 1;
+        c.validate = false;
+        points.push_back(RunPoint{key, c});
+    }
+
     RunPoint basePt{key, base};
     RunResult b;
     bool baseViaModel = false;
@@ -412,33 +414,8 @@ cmdSweep(const Args &a)
                 b.summary.app.c_str(), toMsec(b.runtime),
                 static_cast<unsigned long long>(b.maxMsgsPerProc));
 
-    // Every point is an independent simulation: fan them out.
-    std::vector<RunPoint> points;
-    points.reserve(xs.size());
-    for (double x : xs) {
-        RunConfig c = base;
-        if (knob == "overhead")
-            c.knobs.overheadUs = x;
-        else if (knob == "gap")
-            c.knobs.gapUs = x;
-        else if (knob == "latency")
-            c.knobs.latencyUs = x;
-        else if (knob == "bandwidth" || knob == "mbps")
-            c.knobs.bulkMBps = x;
-        else if (knob == "occupancy")
-            c.knobs.occupancyUs = x;
-        else if (knob == "window")
-            c.knobs.window = static_cast<int>(x);
-        else if (knob == "drop") {
-            c.knobs.dropRate = x;
-            if (c.knobs.reliable < 0)
-                c.knobs.reliable = 1; // Losses need a recovery path.
-        } else
-            fatal("unknown knob '%s'", knob.c_str());
-        c.validate = false;
-        c.maxTime = b.runtime * 200 + kSec;
-        points.push_back(RunPoint{key, c});
-    }
+    for (RunPoint &pt : points)
+        pt.config.maxTime = b.runtime * 200 + kSec;
 
     std::vector<RunResult> rs;
     std::vector<backend::AnalyticPrediction> preds(points.size());
@@ -486,32 +463,38 @@ cmdSweep(const Args &a)
     // The analytic engine knows the sweep's local derivative for free
     // (the LP dual along the binding path); surface it for the LogGP
     // knobs where it is defined.
-    const bool slopes = ana && (knob == "latency" || knob == "overhead" ||
-                                knob == "gap");
+    using Pred = backend::AnalyticPrediction;
+    const auto *f = std::get_if<double Knobs::*>(&spec->field);
+    double Pred::*slope = !ana || !f                 ? nullptr
+                          : *f == &Knobs::latencyUs  ? &Pred::dTdL
+                          : *f == &Knobs::overheadUs ? &Pred::dTdO
+                          : *f == &Knobs::gapUs      ? &Pred::dTdG
+                                                     : nullptr;
     Table t;
     {
         auto hdr = t.row();
         hdr.cell(knob).cell("runtime (ms)").cell("slowdown");
-        if (slopes)
+        if (slope)
             hdr.cell("dT/d" + knob);
     }
-    for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
         const RunResult &r = rs[i];
         auto row = t.row();
-        // Probability knobs need more digits than microsecond knobs.
-        row.cell(xs[i], knob == "drop" ? 3 : 1);
+        // Rates need more digits than microsecond knobs.
+        double x;
+        if (parseDoubleStrict(values[i], x))
+            row.cell(x, spec->kind == KnobKind::kRate ? 3 : 1);
+        else
+            row.cell(values[i]);
         if (r.ok)
             row.cell(toMsec(r.runtime), 2)
                 .cell(slowdown(r.runtime, b.runtime), 2);
         else
             row.cell(std::string("N/A")).cell(std::string("N/A"));
-        if (slopes) {
+        if (slope) {
             const backend::AnalyticPrediction &p = preds[i];
-            double s = knob == "latency"
-                           ? p.dTdL
-                           : knob == "overhead" ? p.dTdO : p.dTdG;
             if (p.ok)
-                row.cell(s, 1);
+                row.cell(p.*slope, 1);
             else
                 row.cell(std::string("-"));
         }
@@ -541,23 +524,6 @@ handleStopSignal(int)
 {
     if (gServer)
         gServer->requestStop(); // Async-signal-safe: one pipe write.
-}
-
-/** Split a comma-separated list (empty fields dropped). */
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
 }
 
 int
@@ -647,20 +613,16 @@ submitRequestOf(const Args &a)
     if (a.flags.count("no-validate"))
         w.field("validate", false);
 
-    const std::vector<const char *> knob_keys = svc::knobKeys();
-    bool any = a.flags.count("topo") != 0;
-    for (const char *k : knob_keys)
-        any = any || a.options.count(k);
-    if (any) {
-        w.beginObject("knobs");
-        for (const char *k : knob_keys) {
-            if (a.options.count(k))
-                w.field(k, optDouble(a, k, -1));
-        }
-        if (a.flags.count("topo") && !a.options.count("topo"))
-            w.field("topo", 1.0);
-        w.endObject();
+    // knobsOf (cmdSubmit) has checked every value already.
+    w.beginObject("knobs");
+    for (const KnobSpec &spec : knobTable()) {
+        auto it = a.options.find(spec.key);
+        if (it != a.options.end() && spec.kind == KnobKind::kString)
+            w.field(spec.key, it->second);
+        else if (it != a.options.end())
+            w.field(spec.key, optDouble(a, spec.key, -1));
     }
+    w.endObject();
     w.endObject();
     return w.str();
 }
@@ -671,6 +633,7 @@ cmdSubmit(const Args &a)
     if (a.positional.size() < 2)
         fatal("usage: nowlab submit <app> [knobs] [--host H] "
               "[--port P] [--wait] [--max-retries N]");
+    knobsOf(a); // Refuse a bad knob value before contacting nowlabd.
     svc::Client client = clientOf(a);
     const bool wait = a.flags.count("wait") != 0;
     const long maxRetries = optLong(a, "max-retries", 8);
@@ -1501,18 +1464,6 @@ cmdWavefront(const Args &a)
     return 0;
 }
 
-MachineConfig
-machineByName(const std::string &m)
-{
-    if (m == "now")
-        return MachineConfig::berkeleyNow();
-    if (m == "paragon")
-        return MachineConfig::intelParagon();
-    if (m == "meiko")
-        return MachineConfig::meikoCs2();
-    fatal("unknown machine '%s' (now|paragon|meiko)", m.c_str());
-}
-
 std::vector<int>
 optIntList(const Args &a, const char *key, std::vector<int> fallback)
 {
@@ -1762,7 +1713,7 @@ struct Command
     int (*run)(const Args &);
     /** Flags read besides the shared knob keys. */
     std::vector<const char *> flags;
-    /** Whether it reads the shared knob keys (svc::knobKeys()). */
+    /** Whether it reads the knobs (knobTable()). */
     bool knobs;
 };
 
@@ -1770,8 +1721,7 @@ struct Command
 std::vector<const char *>
 withConfig(std::vector<const char *> flags)
 {
-    flags.insert(flags.end(),
-                 {"procs", "scale", "seed", "machine", "coll-alg"});
+    flags.insert(flags.end(), {"procs", "scale", "seed", "machine"});
     return flags;
 }
 
@@ -1780,7 +1730,7 @@ commands()
 {
     static const std::vector<Command> kCommands = {
         {"list", [](const Args &) { return cmdList(); }, {}, false},
-        {"calibrate", cmdCalibrate, {"machine", "coll-alg"}, true},
+        {"calibrate", cmdCalibrate, {"machine"}, true},
         {"run", cmdRun, withConfig({"trace", "matrix", "pgm"}), true},
         {"sweep", cmdSweep,
          withConfig({"knob", "values", "jobs", "backend", "cache-dir"}),
@@ -1808,8 +1758,8 @@ commands()
           "seeds", "backend", "out"},
          false},
         {"coll", cmdColl,
-         {"machine", "machines", "coll-alg", "procs", "sizes",
-          "tolerance", "min-hit", "out"},
+         {"machine", "machines", "procs", "sizes", "tolerance",
+          "min-hit", "out"},
          true},
         {"backend", cmdBackend,
          {"apps", "procs", "scale", "tolerance", "out"}, false},
@@ -1862,17 +1812,18 @@ refuseRetiredFlags(const Args &a, const char *cmd)
 }
 
 /**
- * Refuse any flag the command does not read, before it does any work:
- * a misspelled knob (`--latncy 55`) must be a diagnostic, not a silent
- * baseline run.
+ * Refuse any flag the command does not read, and any flag left without
+ * the value it needs, before the command does any work: a misspelled
+ * knob (`--latncy 55`) or a lone `--latency` must be a diagnostic, not
+ * a silent baseline run.
  */
 void
 refuseUnknownFlags(const Args &a, const Command &c)
 {
     std::set<std::string> known(c.flags.begin(), c.flags.end());
     if (c.knobs) {
-        for (const char *k : svc::knobKeys())
-            known.insert(k);
+        for (const KnobSpec &spec : knobTable())
+            known.insert(spec.key);
     }
     auto check = [&](const std::string &key) {
         fatal_if(!known.count(key),
@@ -1881,8 +1832,11 @@ refuseUnknownFlags(const Args &a, const Command &c)
     };
     for (const auto &kv : a.options)
         check(kv.first);
-    for (const auto &kv : a.flags)
+    for (const auto &kv : a.flags) {
         check(kv.first);
+        fatal_if(!isBareFlag(kv.first), "nowlab %s: --%s needs a value",
+                 c.name, kv.first.c_str());
+    }
 }
 
 } // namespace
@@ -1906,6 +1860,7 @@ main(int argc, char **argv)
             "             [--trace FILE.csv]\n"
             "  nowlab sweep <app> --knob K --values a,b,c [--jobs J]\n"
             "             [--backend sim|analytic|cache] [...]\n"
+            "             (K: any knob key below, without the --)\n"
             "  nowlab perf [--app A] [--points K] [--jobs J]\n"
             "             [--events N] [--out FILE]\n"
             "  nowlab trace <app> [--out F.json] [--procs N]\n"
